@@ -169,10 +169,7 @@ def _log_integrand_exact(lv: np.ndarray, Y: np.ndarray) -> np.ndarray:
     n = lv.size - 1
     lam0 = lv[:-1] - lv[-1]
     out = Y @ lam0
-    T = np.zeros(Y.shape[:-1])
-    for rows, signs in rs.perm_sign_chunks(n):
-        dots = np.einsum("...j,pj->...p", Y, lam0[rows] - lam0[None, :])
-        T += (signs * np.exp(dots)).sum(axis=-1)
+    T = rs.weyl_alt_terms(Y, lam0).sum(axis=-1)
     pref = sum(math.lgamma(k + 1) for k in range(1, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         logT = np.where(T > 0.0, np.log(np.where(T > 0.0, T, 1.0)), -np.inf)

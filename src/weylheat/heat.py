@@ -84,11 +84,7 @@ def _log_images_T(xv: np.ndarray, Y: np.ndarray, inv2t: float) -> np.ndarray:
     Nonpositive roundoff results (possible when Y sits almost on a wall) are
     returned as -inf; their true contribution is below roundoff anyway.
     """
-    T = np.zeros(Y.shape[:-1])
-    base = Y @ xv
-    for rows, signs in rs.perm_sign_chunks(xv.size):
-        dots = np.einsum("...pj,j->...p", Y[..., rows], xv)
-        T += (signs * np.exp((dots - base[..., None]) * inv2t)).sum(axis=-1)
+    T = rs.weyl_alt_terms(xv, Y, inv2t).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(T > 0.0, np.log(np.where(T > 0.0, T, 1.0)), -np.inf)
 
@@ -311,17 +307,9 @@ def images_oracle(ctx: HeatContext, t: float, x, y) -> sp.EvalResult:
     yv = rs.as_coords(y, "y")
     if np.min(xv[:-1] - xv[1:]) <= 0.0 or np.min(yv[:-1] - yv[1:]) <= 0.0:
         raise DegenerateInput("images oracle needs strictly dominant x and y")
-    inv2t = 1.0 / (2.0 * t)
-    base = float(xv @ yv)
-    terms = []
-    abs_terms = []
-    for rows, signs in rs.perm_sign_chunks(xv.size):
-        dots = yv[rows] @ xv
-        vals = signs * np.exp((dots - base) * inv2t)
-        terms.extend(vals.tolist())
-        abs_terms.extend(np.abs(vals).tolist())
-    T = math.fsum(terms)
-    A = math.fsum(abs_terms)
+    terms = rs.weyl_alt_terms(xv, yv, 1.0 / (2.0 * t))
+    T = math.fsum(terms.tolist())
+    A = math.fsum(np.abs(terms).tolist())
     if T <= 0.0:
         raise DegenerateInput("image sum lost all significance (arguments too close to a wall)")
     gauss = -float(((xv - yv) ** 2).sum()) / (4.0 * t)

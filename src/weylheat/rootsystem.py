@@ -40,7 +40,10 @@ def as_coords(p, name: str = "point") -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise DominanceError(f"{name} must be a 1-d coordinate vector, got shape {v.shape}")
-    if np.any(np.diff(v) > 0.0):
+    # NaN fails every comparison; decreasing coordinates with finite ends are finite
+    if not ((v[1:] <= v[:-1]).all() and math.isfinite(v[0]) and math.isfinite(v[-1])):
+        if not np.isfinite(v).all():
+            raise DominanceError(f"{name} coordinates must be finite: {v.tolist()}")
         raise DominanceError(f"{name} coordinates must be weakly decreasing: {v.tolist()}")
     return v
 
@@ -55,6 +58,8 @@ class ChamberPoint:
         c = tuple(float(v) for v in self.coords)
         if len(c) < 2:
             raise DominanceError("a chamber point needs at least two coordinates (rank >= 1)")
+        if not all(math.isfinite(v) for v in c):
+            raise DominanceError(f"coordinates must be finite: {c}")
         for a, b in zip(c, c[1:]):
             if a < b:
                 raise DominanceError(f"coordinates must be weakly decreasing: {c}")
@@ -165,6 +170,36 @@ def perm_sign_chunks(m: int, chunk: int = _PERM_CHUNK) -> Iterator[tuple[np.ndar
             return
         rows = np.array(block, dtype=np.int64)
         yield rows, _signs_from_rows(rows)
+
+
+def weyl_alt_terms(a, b, scale=1.0, dtype=np.float64) -> np.ndarray:
+    """Terms eps(w) exp(scale (<a, w b> - <a, b>)) of the alternating Weyl sum.
+
+    The m! terms lie on the last axis, in the order of perm_sign_chunks;
+    callers do their own reduction.  a and b hold m coordinates on the last
+    axis; either may carry a batch, or both row-paired batches.  A single a
+    against a batch of b is permuted instead of b, which the sum over all of
+    W allows.  dtype is the precision of pairings and exponentials; the
+    shift <a, b> stays the binary64 value callers add back.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == 1 and b.ndim > 1:
+        a, b = b, a
+    base = np.dot(a, b) if b.ndim == 1 else np.einsum("...j,...j->...", a, b)
+    base = np.asarray(base, dtype=dtype)[..., None]
+    # contiguous: the bits of the products depend on layout
+    a, b = np.ascontiguousarray(a, dtype), np.ascontiguousarray(b, dtype)
+    chunks = []
+    for rows, signs in perm_sign_chunks(b.shape[-1]):
+        # for a single a, a @ b[rows].T is the same gemv as b[rows] @ a
+        e = a @ b[rows].T if b.ndim == 1 else np.einsum("...j,...pj->...p", a, b[..., rows])
+        e -= base
+        e = e * scale  # in place from here on: batched grids are the peak memory
+        np.exp(e, out=e)
+        e *= signs
+        chunks.append(e)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=-1)
 
 
 @dataclass(frozen=True)

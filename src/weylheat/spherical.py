@@ -15,7 +15,6 @@ counterpart are provided alongside, plus a small/large regime classifier.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -102,34 +101,20 @@ def _alt_sum_log_T_float(lv: np.ndarray, xv: np.ndarray, dtype=np.float64):
     """log of T = sum_w eps(w) exp(<w lam - lam, X>) plus an error estimate.
 
     The identity term is 1 and every other term has a nonnegative deficit in
-    the exponent, so T in (0, |W|].  float64 partials are combined with
-    math.fsum (exact compensation); the extended-float path relies on pairwise
+    the exponent, so T in (0, |W|].  float64 terms are summed with math.fsum
+    (exact compensation); the extended-float path relies on pairwise
     summation, which is enough for the magnitudes it is selected for.
     """
-    m = lv.size
-    lvd = lv.astype(dtype)
-    xvd = xv.astype(dtype)
     base = float(np.dot(lv, xv))
-    terms_sum = []
-    abs_sum = []
-    acc = dtype(0.0)
-    acc_abs = dtype(0.0)
-    for rows, signs in rs.perm_sign_chunks(m):
-        dots = xvd[rows] @ lvd
-        t = signs.astype(dtype) * np.exp(dots - dtype(base))
-        if dtype is np.float64:
-            terms_sum.append(math.fsum(t.tolist()))
-            abs_sum.append(math.fsum(np.abs(t).tolist()))
-        else:
-            acc += t.sum(dtype=dtype)
-            acc_abs += np.abs(t).sum(dtype=dtype)
+    t = rs.weyl_alt_terms(lv, xv, dtype=dtype)
     if dtype is np.float64:
-        T = math.fsum(terms_sum)
-        A = math.fsum(abs_sum)
+        T = math.fsum(t.tolist())
+        A = math.fsum(np.abs(t).tolist())
         eps = _EPS
     else:
+        acc = t.sum(dtype=dtype)
         T = float(acc)
-        A = float(acc_abs)
+        A = float(np.abs(t).sum(dtype=dtype))
         eps = float(np.finfo(dtype).eps)
     if T <= 0.0:
         raise ToleranceUnachievable(
@@ -153,15 +138,15 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
     with mp.workprec(int(prec)):
         lmp = [mp.mpf(float(v)) for v in lv]
         xmp = [mp.mpf(float(v)) for v in xv]
-        base = mp.fsum(a * b for a, b in zip(lmp, xmp))
+        prods = [[a * b for b in xmp] for a in lmp]  # lam_j x_k
+        base = mp.fsum(prods[j][j] for j in range(m))
         terms = []
         abs_terms = []
-        for perm in itertools.permutations(range(m)):
-            s = rs.permutation_sign(perm)
-            e = mp.fsum(lmp[j] * xmp[perm[j]] for j in range(m)) - base
-            t = mp.exp(e)
-            terms.append(t if s > 0 else -t)
-            abs_terms.append(t)
+        for rows, signs in rs.perm_sign_chunks(m):
+            for perm, s in zip(rows.tolist(), signs.tolist()):
+                t = mp.exp(mp.fsum(prods[j][k] for j, k in enumerate(perm)) - base)
+                terms.append(t if s > 0 else -t)
+                abs_terms.append(t)
         T = mp.fsum(terms)
         A = mp.fsum(abs_terms)
         if T <= 0:
@@ -182,6 +167,15 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
     err = 2.0 ** (2 - prec) * cond * (4.0 + abs(float(np.dot(lv, xv))) + spread)
     err += 0.75 * _EPS * (1.0 + abs(out))  # final float rounding
     return out, err
+
+
+def _psi_log_float(lv: np.ndarray, xv: np.ndarray, dtype) -> tuple[float, float]:
+    """log psi and its error bound from the binary64 or 80-bit alternating sum."""
+    logT, err = _alt_sum_log_T_float(lv, xv, dtype)
+    base = float(np.dot(lv, xv))
+    pref = _log_prefactor(lv, xv)
+    log_value = pref + base + logT
+    return log_value, err + _EPS * (4.0 + 0.75 * (abs(pref) + abs(base) + abs(logT)))
 
 
 def _log_prefactor(lv: np.ndarray, xv: np.ndarray) -> float:
@@ -237,12 +231,8 @@ def psi_alt_sum(
         raise DegenerateInput(
             "coordinates coincide within tolerance; use psi_stable or psi_iter_quadrature"
         )
-    base = float(np.dot(lv, xv))
     if precision_bits <= 53:
-        logT, err = _alt_sum_log_T_float(lv, xv, np.float64)
-        pref = _log_prefactor(lv, xv)
-        log_value = pref + base + logT
-        err += _EPS * (4.0 + 0.75 * (abs(pref) + abs(base) + abs(logT)))
+        log_value, err = _psi_log_float(lv, xv, np.float64)
         return EvalResult(log_value, METHOD_ALT, err)
     log_value, err = _psi_log_mp(lv, xv, precision_bits)
     return EvalResult(log_value, METHOD_ALT_EXT, err)
@@ -491,9 +481,9 @@ def regime_classify(lam, x, delta: float = DEFAULT_DELTA) -> RegimeLabel:
 def _closed_constant_side(lv: np.ndarray, xv: np.ndarray):
     """Exact value when either vector is constant: psi_{c 1}(X) = e^{c sum X}."""
     if _all_equal(lv):
-        return float(lv[0] * xv.sum())
+        return float(lv[0] * math.fsum(xv.tolist()))
     if _all_equal(xv):
-        return float(xv[0] * lv.sum())
+        return float(xv[0] * math.fsum(lv.tolist()))
     return None
 
 
@@ -560,17 +550,23 @@ def _psi_confluent(lv, xv, target, cap):
     return EvalResult(est, METHOD_ALT_EXT, err)
 
 
+def _plan(lv: np.ndarray, xv: np.ndarray, target_rel_err: float) -> tuple[int, int]:
+    """(bits of the first rung: 53, 64 or the mpmath precision; mpmath starting
+    precision), from the target's bits and the cancellation and scale estimate."""
+    bits, scale = cancellation_bits(lv, xv)
+    core = -math.log2(target_rel_err) + max(bits, math.log2(scale + 2.0))
+    needed = core + 2.0
+    prec = int(math.ceil(core)) + 64
+    if needed <= 53.0:
+        return 53, prec
+    if _HAVE_LD80 and needed <= 63.0:
+        return 64, prec
+    return prec, prec
+
+
 def planned_precision(lam, x, target_rel_err: float = DEFAULT_TARGET) -> int:
     """Mantissa bits psi_stable would use for non-degenerate input (53, 64, or more)."""
-    lv, xv = _pair(lam, x)
-    bits, scale = cancellation_bits(lv, xv)
-    target_bits = -math.log2(target_rel_err)
-    needed = target_bits + max(bits, math.log2(scale + 2.0)) + 2.0
-    if needed <= 53.0:
-        return 53
-    if _HAVE_LD80 and needed <= 63.0:
-        return 64
-    return int(math.ceil(target_bits + max(bits, math.log2(scale + 2.0)))) + 64
+    return _plan(*_pair(lam, x), target_rel_err)[0]
 
 
 def psi_stable(
@@ -598,35 +594,27 @@ def psi_stable(
     if _min_gap(lv) <= DEFAULT_DEGENERATE_TOL or _min_gap(xv) <= DEFAULT_DEGENERATE_TOL:
         return _psi_confluent(lv, xv, target_rel_err, cap)
 
-    bits, scale = cancellation_bits(lv, xv)
-    target_bits = -math.log2(target_rel_err)
-    needed = target_bits + max(bits, math.log2(scale + 2.0)) + 2.0
+    first, prec = _plan(lv, xv, target_rel_err)
 
     def meets(res: EvalResult) -> bool:
         # a binary64 result cannot beat the ulp of its own log value; that
         # floor is excluded from the guarantee
         return res.abs_log_error <= target_rel_err + 2.0 * _EPS * (1.0 + abs(res.log_value))
 
-    if needed <= 53.0:
+    if first == 53:
         res = psi_alt_sum(lv, xv, 53, cap=cap)
         if meets(res):
             return res
-        needed = 54.0  # estimator was optimistic; escalate
 
-    if _HAVE_LD80 and needed <= 63.0:
-        base = float(np.dot(lv, xv))
+    if _HAVE_LD80 and first <= 64:  # also when binary64 missed: the estimate was optimistic
         try:
-            logT, err = _alt_sum_log_T_float(lv, xv, _LD)
-            pref = _log_prefactor(lv, xv)
-            log_value = pref + base + logT
-            err += _EPS * (4.0 + 0.75 * (abs(pref) + abs(base) + abs(logT)))
+            log_value, err = _psi_log_float(lv, xv, _LD)
             res = EvalResult(log_value, METHOD_ALT_EXT, err)
             if meets(res):
                 return res
         except ToleranceUnachievable:
             pass
 
-    prec = int(math.ceil(target_bits + max(bits, math.log2(scale + 2.0)))) + 64
     while prec <= _MAX_PREC:
         res = psi_alt_sum(lv, xv, prec, cap=cap)
         if meets(res):
@@ -647,11 +635,4 @@ def unitary_alt_sum(lams: np.ndarray, x) -> np.ndarray:
     This is the numerator of psi_{i lam}(x); callers multiply batches of these
     for Fourier-type integrals, where the Vandermonde prefactors cancel.
     """
-    xv = np.asarray(x, dtype=float)
-    m = xv.size
-    lams = np.asarray(lams, dtype=float)
-    out = np.zeros(lams.shape[:-1], dtype=complex)
-    for rows, signs in rs.perm_sign_chunks(m):
-        dots = np.einsum("...j,pj->...p", lams, xv[rows])
-        out += (signs * np.exp(1j * dots)).sum(axis=-1)
-    return out
+    return rs.weyl_alt_terms(lams, x, 1j).sum(axis=-1) * np.exp(1j * np.dot(lams, x))

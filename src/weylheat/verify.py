@@ -75,7 +75,6 @@ class SweepConfig:
     target_log_err: float = 1e-9
     sandwich_tol: float = 1e-9
     delta: float = sp.DEFAULT_DELTA
-    out_path: Optional[str] = None  # orchestration only; not part of the hash
 
     def __post_init__(self):
         if self.mode not in ("grid", "log_grid", "random"):
@@ -356,9 +355,6 @@ def _finish_report(report: RatioReport) -> RatioReport:
     import datetime
 
     report.created_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if report.config.out_path:
-        with open(report.config.out_path, "wb") as fh:
-            fh.write(to_json_bytes(report))
     return report
 
 
@@ -409,7 +405,7 @@ def to_csv_bytes(report: RatioReport) -> bytes:
         for f in _CSV_FIELDS:
             v = getattr(r, f)
             if isinstance(v, tuple):
-                v = " ".join(repr(t) if not isinstance(t, str) else t for t in v)
+                v = " ".join(t if isinstance(t, str) else repr(float(t)) for t in v)
             row.append("" if v is None else v)
         w.writerow(row)
     return buf.getvalue().encode()
@@ -520,12 +516,7 @@ def sample_large_regime(rng, n: int, count: int, spread: float = 1.5) -> tuple:
 
 def batch_log_alt_sum_T(lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """log of sum_w eps(w) e^{<w lam - lam, X>} for row-paired batches."""
-    m = lams.shape[1]
-    base = np.einsum("sm,sm->s", lams, xs)
-    T = np.zeros(lams.shape[0])
-    for rows, signs in rs.perm_sign_chunks(m):
-        dots = np.einsum("sm,spm->sp", lams, xs[:, rows])
-        T += (signs * np.exp(dots - base[:, None])).sum(axis=1)
+    T = rs.weyl_alt_terms(lams, xs).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(T > 0.0, np.log(np.where(T > 0.0, T, 1.0)), -np.inf)
 

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,16 @@ def test_eval_input_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(["bogus-subcommand"], capsys)
     assert code == 2
+
+
+def test_non_finite_input_is_an_input_error(capsys):
+    for lam in ("1,nan", "inf,0"):
+        code, _, err = run_cli(["eval", "--n", "1", "--lambda", lam, "--x", "1,0"], capsys)
+        assert code == 2
+        assert "finite" in err
+    code, _, err = run_cli(["heat", "--n", "1", "--t", "1", "--x", "1,0", "--y", "0,-inf"], capsys)
+    assert code == 2
+    assert "finite" in err
 
 
 def test_eval_numerical_failure_exit_code(capsys):
@@ -164,9 +176,11 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
 
 def test_console_entry_point_subprocess():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "weylheat", "eval", "--n", "1", "--lambda", "1,0", "--x", "1,0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["method"] == "alt_sum"

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -72,6 +74,58 @@ def test_perm_sign_chunks_match_scalar_parity():
                 assert rs.permutation_sign(tuple(r)) == int(s)
                 rows_all.append(tuple(r))
         assert len(rows_all) == math.factorial(m)
+
+
+def brute_alt_sum(a, b, scale):
+    """sum_w eps(w) exp(scale (<a, w b> - <a, b>)), one permutation at a time."""
+    m = len(a)
+    base = sum(a[j] * b[j] for j in range(m))
+    total = 0.0
+    for perm in itertools.permutations(range(m)):
+        e = scale * (sum(a[j] * b[perm[j]] for j in range(m)) - base)
+        total += rs.permutation_sign(perm) * cmath.exp(e)
+    return total
+
+
+def kernel_sum(a, b, scale=1.0):
+    return rs.weyl_alt_terms(a, b, scale).sum(axis=-1)
+
+
+def test_weyl_alt_terms_match_bruteforce_sum():
+    rng = np.random.default_rng(31)
+    for m in (2, 3, 4):
+        grid = np.sort(rng.uniform(-2.0, 3.0, (4, 5, m)), axis=-1)[..., ::-1]
+        lams = np.sort(rng.uniform(-2.0, 3.0, (6, m)), axis=-1)[:, ::-1]
+        xs = np.sort(rng.uniform(-2.0, 3.0, (6, m)), axis=-1)[:, ::-1]
+        a, b = lams[0], xs[0]
+        for scale in (1.0, 1.0 / (2.0 * 0.7), 1j):  # psi, heat images at t = 0.7, Fourier
+            got = kernel_sum(a, b, scale)
+            assert got == pytest.approx(brute_alt_sum(a, b, scale), rel=1e-12, abs=1e-13)
+            # a grid batch on either side: the single vector is permuted instead
+            for args in ((grid, b), (b, grid)):
+                got = kernel_sum(*args, scale)
+                assert got.shape == grid.shape[:-1]
+                for idx in np.ndindex(grid.shape[:-1]):
+                    want = brute_alt_sum(grid[idx], b, scale)
+                    assert got[idx] == pytest.approx(want, rel=1e-12, abs=1e-13)
+            # row-paired batches
+            got = kernel_sum(lams, xs, scale)
+            for i in range(lams.shape[0]):
+                want = brute_alt_sum(lams[i], xs[i], scale)
+                assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-13)
+        assert rs.weyl_alt_terms(a, b).shape == (math.factorial(m),)
+
+
+def test_non_finite_coordinates_rejected():
+    for bad in ([math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0], [0.0, -math.inf],
+                [math.inf, math.inf], [math.nan]):
+        with pytest.raises(DominanceError, match="finite"):
+            rs.as_coords(bad)
+        if len(bad) > 1:
+            with pytest.raises(DominanceError, match="finite"):
+                rs.ChamberPoint(tuple(bad))
+    with pytest.raises(DominanceError, match="decreasing"):
+        rs.as_coords([0.0, 1.0])
 
 
 def test_decompose_diff_identity_and_transposition():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -138,6 +139,22 @@ def test_psi_constant_shift_exactness():
     a = sp.psi_stable(lam, x).log_value
     b = sp.psi_stable(lam + 3.0, x).log_value
     assert b - a == pytest.approx(3.0 * x.sum(), rel=1e-12)
+
+
+def test_closed_constant_side_honours_its_bound():
+    # psi_{c 1}(X) = e^{c sum X}; the declared error must cover the rounding
+    # of the coordinate sum, checked against the exact sum in mpmath
+    rng = np.random.default_rng(7)
+    for i in range(1000):
+        n = 1 + i % 7
+        c = rng.normal() * 10.0 ** rng.uniform(-2, 2)
+        x = np.sort(rng.normal(size=n + 1) * 10.0 ** rng.uniform(-2, 2))[::-1]
+        lam, xx = (np.full(n + 1, c), x) if i % 2 else (x, np.full(n + 1, c))
+        res = sp.psi_stable(lam, xx, 1e-12)
+        assert res.method == sp.METHOD_CLOSED
+        with mp.workprec(300):
+            exact = mp.mpf(float(c)) * mp.fsum(mp.mpf(float(v)) for v in x)
+            assert abs(mp.mpf(res.log_value) - exact) <= res.abs_log_error
 
 
 def test_iter_quadrature_base_case_and_cross_method():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -103,6 +105,10 @@ def test_csv_serialization_shape():
     assert lines[0].split(",")[0] == "index"
     assert len(lines) == 1 + len(rep.records)
     assert "\r" not in data
+    for row in csv.DictReader(io.StringIO(data)):
+        for field in ("lam", "x"):
+            for v in row[field].split():
+                float(v)  # plain decimal floats, not np.float64(...)
 
 
 def test_json_schema_fields():
