@@ -6,6 +6,8 @@ two-sided envelopes, and a verification layer of independent oracles,
 property suites, and ratio sweeps.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     CalibrationError,
     DegenerateInput,
@@ -76,5 +78,3 @@ from .verify import (
     sweep_heat_ratio,
     sweep_psi_ratio,
 )
-
-__version__ = "0.1.0"

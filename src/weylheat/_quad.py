@@ -3,7 +3,8 @@
 All integrals in this package are of smooth positive integrands, evaluated in
 the log domain: nodes carry log-weights and sums are taken with a max-shift
 (logsumexp).  Gauss-Legendre rules are cached per order; composite panels
-refine resolution without touching the node generator.
+refine resolution without touching the node generator.  Product rules are laid
+out by tensor_grid, and every quadrature block stays within GRID_VALUES.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ from functools import lru_cache
 
 import numpy as np
 
+# Values one quadrature block may materialize: grid points times the terms the
+# integrand forms per point (|W| for an image or Fourier sum).
+GRID_VALUES = 2_000_000
+
 
 @lru_cache(maxsize=None)
 def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-@lru_cache(maxsize=None)
-def hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.hermite.hermgauss(order)
     return x, w
 
 
@@ -45,6 +44,35 @@ def gl_nodes(a, b, order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]
     nodes = nodes.reshape(a.shape + (panels * order,))
     logw = np.broadcast_to(logw, a.shape + (panels, order)).reshape(a.shape + (panels * order,))
     return nodes, logw
+
+
+def tensor_grid(nodes, logws) -> tuple[np.ndarray, np.ndarray]:
+    """Product of per-axis rules: points Y (..., K_0, ..., K_{r-1}, r) and their log-weights.
+
+    Axis k has nodes and log-weights of shape batch + (K_k,); the leading batch
+    dimensions broadcast against each other and lead the result.
+    """
+    r = len(nodes)
+    batch = np.broadcast_shapes(*(nk.shape[:-1] for nk in nodes))
+    shape = batch + tuple(nk.shape[-1] for nk in nodes)
+    Y = np.empty(shape + (r,))
+    logw = np.zeros(shape)
+    for k in range(r):
+        sl = (...,) + tuple(slice(None) if t == k else None for t in range(r))
+        Y[..., k] = nodes[k][sl]
+        logw = logw + logws[k][sl]
+    return Y, logw
+
+
+def tensor_blocks(nodes, logws, terms: int = 1):
+    """tensor_grid of one-dimensional rules, yielded in blocks along the first axis.
+
+    A block holds at most GRID_VALUES // terms points (at least one first-axis
+    node), where terms counts the values the integrand forms per point.
+    """
+    step = max(1, GRID_VALUES // (terms * math.prod(nk.size for nk in nodes[1:])))
+    for s in range(0, nodes[0].size, step):
+        yield tensor_grid([nodes[0][s : s + step], *nodes[1:]], [logws[0][s : s + step], *logws[1:]])
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:

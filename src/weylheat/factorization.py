@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rootsystem as rs
-from ._quad import gl_nodes, log_ratio_1mexp, logsumexp
+from ._quad import gl_nodes, log_ratio_1mexp, logsumexp, tensor_blocks
 from .errors import (
     PreconditionViolated,
     QuadratureNonconvergence,
@@ -177,25 +177,11 @@ def _log_integrand_exact(lv: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _master_once(lv: np.ndarray, xv: np.ndarray, order: int, levels: int, form: str) -> float:
-    n = xv.size - 1
     lam0 = lv[:-1] - lv[-1]
     shift = -float(np.dot(lam0, xv[:-1]))
     nodes, logws = _box_nodes(lv, xv, order, levels)
-    K = nodes[0].size
-    step = max(1, 2_000_000 // max(K ** (n - 1), 1))
     integrand = _log_integrand_ratio if form == "ratio" else _log_integrand_exact
-    pieces = []
-    for s in range(0, K, step):
-        grid_shape = (nodes[0][s : s + step].size,) + (K,) * (n - 1)
-        Y = np.empty(grid_shape + (n,))
-        logw = np.zeros(grid_shape)
-        for k in range(n):
-            nk = nodes[k][s : s + step] if k == 0 else nodes[k]
-            lwk = logws[k][s : s + step] if k == 0 else logws[k]
-            sl = tuple(slice(None) if t == k else None for t in range(n))
-            Y[..., k] = nk[sl]
-            logw = logw + lwk[sl]
-        pieces.append(logsumexp(integrand(lv, Y) + logw))
+    pieces = [logsumexp(integrand(lv, Y) + logw) for Y, logw in tensor_blocks(nodes, logws)]
     return shift + logsumexp(np.array(pieces))
 
 

@@ -6,8 +6,8 @@ The reference measure on the closed chamber is pi(Y)^2 dY.  The flat kernel is
 
 with d = n+1 ambient dimensions, gamma positive roots, and c the Gaussian
 normalization constant, fixed so that the kernel has unit mass on the chamber.
-Two independent routes to c are provided (direct Gaussian moment quadrature
-and kernel-mass calibration) plus four independent checks of the kernel
+Two independent routes to c are provided (Mehta's closed form of the Gaussian
+moment and kernel-mass calibration) plus four independent checks of the kernel
 itself: a signed-image expansion, an oscillatory-spectrum inversion integral,
 a finite-difference heat-equation residual, and the semigroup property.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rootsystem as rs
 from . import spherical as sp
-from ._quad import gl_nodes, hermgauss, log_sinh, logsumexp
+from ._quad import GRID_VALUES, gl_nodes, log_sinh, logsumexp, tensor_blocks
 from .errors import (
     CalibrationError,
     DegenerateInput,
@@ -33,7 +33,7 @@ from .errors import (
 )
 
 PROV_CALIBRATED = "calibrated"
-PROV_MMS = "mms_quadrature"
+PROV_MMS = "mms_closed_form"
 
 
 @dataclass(frozen=True)
@@ -52,30 +52,16 @@ class HeatContext:
 # normalization constant
 # ---------------------------------------------------------------------------
 
-def mms_constant(n: int, *, chamber: bool = True, order: int = 32) -> float:
-    """Gaussian moment int e^{-|y|^2/2} pi(y)^2 dy by Gauss-Hermite quadrature.
+def mms_constant(n: int, *, chamber: bool = True) -> float:
+    """Gaussian moment int e^{-|y|^2/2} pi(y)^2 dy in Mehta's closed form.
 
-    chamber=True restricts to the closed chamber (divide the full-space value
-    by |W|, the integrand being W-invariant); this is the normalization the
-    kernel formulas use.  The integrand is a polynomial times the Gaussian
-    weight, so the tensor rule is exact once the order passes the degree.
+    Over R^m, m = n+1, the moment is (2 pi)^{m/2} prod_{j<=m} j!.  chamber=True
+    restricts to the closed chamber (divide by |W| = m!, the integrand being
+    W-invariant); this is the normalization the kernel formulas use.
     """
     m = n + 1
-    u, w = hermgauss(order)
-    grids = np.meshgrid(*([u] * m), indexing="ij")
-    pts = np.stack(grids, axis=-1)
-    poly = np.ones(pts.shape[:-1])
-    for i in range(m):
-        for j in range(i + 1, m):
-            poly = poly * (pts[..., i] - pts[..., j]) ** 2
-    wgrid = np.ones(pts.shape[:-1])
-    for i, g in enumerate(np.ix_(*([w] * m))):
-        wgrid = wgrid * g
-    # y = sqrt(2) u maps e^{-|y|^2/2} dy to the e^{-|u|^2} weight
-    val = float((poly * wgrid).sum()) * 2.0 ** (m / 2.0 + rs.gamma(n))
-    if chamber:
-        val /= rs.weyl_order(n)
-    return val
+    top = m - 1 if chamber else m
+    return (2.0 * math.pi) ** (m / 2.0) * math.prod(math.factorial(j) for j in range(1, top + 1))
 
 
 def _log_images_T(xv: np.ndarray, Y: np.ndarray, inv2t: float) -> np.ndarray:
@@ -99,14 +85,15 @@ def _log_c_prime(n: int, c_k: float) -> float:
 def _chamber_log_integral(log_f, m: int, lo: float, hi: float, order: int, panels: int) -> float:
     """log of int over {lo <= y_m <= ... <= y_1 <= hi} exp(log_f(Y)) dY.
 
-    log_f takes a stacked array (..., m).  The outermost (smallest) coordinate
-    is looped in blocks to bound memory; inner levels are tensorized with
-    per-node lower limits.
+    log_f takes a stacked array (..., m) and may form an m!-term image sum per
+    point.  The outermost (smallest) coordinate is looped in blocks within
+    GRID_VALUES; inner levels are tensorized with per-node lower limits, so the
+    rule is nested, not a tensor product.
     """
     ym, lwm = gl_nodes(np.array(lo), np.array(hi), order, panels)
     pieces = []
     inner = (order * panels) ** (m - 1)
-    step = max(1, 400_000 // max(inner, 1))
+    step = max(1, GRID_VALUES // (inner * math.factorial(m)))
     for s in range(0, ym.size, step):
         yb = ym[s : s + step]
         lwb = lwm[s : s + step]
@@ -214,10 +201,14 @@ def make_heat_context(
 # kernels and envelopes
 # ---------------------------------------------------------------------------
 
+def _check_time(t: float, name: str = "t") -> None:
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {t!r}")
+
+
 def heat_flat(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -> sp.EvalResult:
     """log of p_t(X, Y) through the stable spherical evaluator."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     xv = rs.as_coords(x, "x")
     yv = rs.as_coords(y, "y")
     res = sp.psi_stable(xv, yv / (2.0 * t), target_log_err)
@@ -234,8 +225,7 @@ def heat_flat(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -
 
 def heat_envelope(t: float, x, y) -> float:
     """log of t^{-d/2} exp(-|X-Y|^2/4t) / prod_{i<j} (t + (x_i-x_j)(y_i-y_j))."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     xv = rs.as_coords(x, "x")
     yv = rs.as_coords(y, "y")
     d = xv.size
@@ -272,8 +262,7 @@ def heat_curved(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12)
 
 def heat_curved_envelope(t: float, x, y) -> float:
     """log of the curved two-sided comparison form (with the Gaussian factor)."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     xv = rs.as_coords(x, "x")
     yv = rs.as_coords(y, "y")
     n = xv.size - 1
@@ -301,8 +290,7 @@ def images_oracle(ctx: HeatContext, t: float, x, y) -> sp.EvalResult:
     C' = pi(rho) / (2^{gamma+d/2} c).  Compensated summation over the images;
     the identity image dominates for chamber arguments.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     xv = rs.as_coords(x, "x")
     yv = rs.as_coords(y, "y")
     if np.min(xv[:-1] - xv[1:]) <= 0.0 or np.min(yv[:-1] - yv[1:]) <= 0.0:
@@ -331,8 +319,7 @@ def _fourier_grid(n: int, t: float, tol: float, xscale: float):
     radius = math.sqrt((math.log(1.0 / max(tol * 1e-3, 1e-15)) + 8.0) / t)
     order = int(max(72, 4.0 * radius * max(1.0, xscale)))
     order = min(order, 320)
-    nodes, logw = gl_nodes(np.array(-radius), np.array(radius), order, 2)
-    return nodes, np.exp(logw)
+    return gl_nodes(np.array(-radius), np.array(radius), order, 2)
 
 
 def _fourier_integral(n: int, t: float, xv: np.ndarray, yv: np.ndarray, tol: float) -> float:
@@ -343,16 +330,13 @@ def _fourier_integral(n: int, t: float, xv: np.ndarray, yv: np.ndarray, tol: flo
     """
     m = n + 1
     xscale = float(max(np.abs(xv).max(), np.abs(yv).max()))
-    nodes, w = _fourier_grid(n, t, tol, xscale)
-    grids = np.meshgrid(*([nodes] * m), indexing="ij")
-    lam = np.stack(grids, axis=-1)
-    wgrid = np.ones(lam.shape[:-1])
-    for g in np.ix_(*([w] * m)):
-        wgrid = wgrid * g
-    sx = sp.unitary_alt_sum(lam, xv)
-    sy = sp.unitary_alt_sum(lam, yv)
-    dens = np.exp(-t * (lam ** 2).sum(axis=-1))
-    return float((dens * (sx * np.conj(sy)).real * wgrid).sum())
+    nodes, logw = _fourier_grid(n, t, tol, xscale)
+    total = 0.0
+    for lam, lw in tensor_blocks([nodes] * m, [logw] * m, terms=math.factorial(m)):
+        sx = sp.unitary_alt_sum(lam, xv)
+        sy = sp.unitary_alt_sum(lam, yv)
+        total += float((np.exp(lw - t * (lam ** 2).sum(axis=-1)) * (sx * np.conj(sy)).real).sum())
+    return total
 
 
 def fourier_constant(ctx: HeatContext, tol: float = 1e-8) -> float:
@@ -362,7 +346,7 @@ def fourier_constant(ctx: HeatContext, tol: float = 1e-8) -> float:
 
 @lru_cache(maxsize=8)
 def _fourier_constant_cached(n: int, c_k: float, tol: float) -> float:
-    ctx = HeatContext(n=n, d=n + 1, gamma=rs.gamma(n), c_k=c_k, c_k_provenance="mms_quadrature")
+    ctx = HeatContext(n=n, d=n + 1, gamma=rs.gamma(n), c_k=c_k, c_k_provenance=PROV_MMS)
     t0 = 0.5
     x0 = 0.6 * rs.rho(n).array()
     y0 = 0.45 * rs.rho(n).array() + 0.1
@@ -386,6 +370,7 @@ def inverse_fourier_oracle(
     """
     if ctx.n > 2:
         raise RankTooLarge("Fourier oracle supports n <= 2")
+    _check_time(t)
     xv = rs.as_coords(x, "x")
     yv = rs.as_coords(y, "y")
     c = const if const is not None else fourier_constant(ctx, tol)
@@ -407,6 +392,7 @@ def pde_residual(ctx: HeatContext, t: float, x, y, h: float) -> float:
     2 sum_{alpha>0} <grad, alpha> / alpha(X).  Requires every gap of x to
     exceed 2h so the stencil stays strictly inside the chamber.
     """
+    _check_time(t)
     xv = rs.as_coords(x, "x")
     yv = rs.as_coords(y, "y")
     if float(np.min(xv[:-1] - xv[1:])) <= 2.0 * h:
@@ -446,6 +432,8 @@ def semigroup_check(ctx: HeatContext, t: float, s: float, x, y, tol: float = 1e-
     """
     if ctx.n > 2:
         raise RankTooLarge("semigroup quadrature supports n <= 2")
+    _check_time(t)
+    _check_time(s, "s")
     xv = rs.as_coords(x, "x")
     yv = rs.as_coords(y, "y")
     d = ctx.d

@@ -23,7 +23,7 @@ import mpmath as mp
 import numpy as np
 
 from . import rootsystem as rs
-from ._quad import gl_nodes, log_ratio_1mexp, log_sinh, logsumexp
+from ._quad import GRID_VALUES, gl_nodes, log_ratio_1mexp, log_sinh, logsumexp, tensor_grid
 from .errors import (
     DegenerateInput,
     QuadratureNonconvergence,
@@ -272,29 +272,14 @@ def _log_G2(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
         return a * x1 + np.log(w) + log_ratio_1mexp(u)
 
 
-_GRID_LIMIT = 2_000_000  # max elements materialized per quadrature block
-
-
 def _log_G_block(lam: np.ndarray, X: np.ndarray, levels) -> np.ndarray:
     """One block of the chain recursion; X has shape (B, m)."""
     m = X.shape[-1]
     lam0 = lam[:-1] - lam[-1]
     r = m - 1
     order, panels = levels[0]
-    node_list = []
-    logw_list = []
-    for k in range(r):
-        nk, lwk = gl_nodes(X[..., k + 1], X[..., k], order, panels)
-        node_list.append(nk)
-        logw_list.append(lwk)
-    K = order * panels
-    grid_shape = X.shape[:-1] + (K,) * r
-    Y = np.empty(grid_shape + (r,))
-    logw = np.zeros(grid_shape)
-    for k in range(r):
-        sl = (...,) + tuple(slice(None) if t == k else None for t in range(r))
-        Y[..., k] = node_list[k][sl]
-        logw = logw + logw_list[k][sl]
+    rules = [gl_nodes(X[..., k + 1], X[..., k], order, panels) for k in range(r)]
+    Y, logw = tensor_grid(*zip(*rules))
     inner = _log_G(lam0, Y, levels[1:])
     integrand = inner + lam0[-1] * Y.sum(axis=-1) + logw + math.lgamma(r)
     return logsumexp(integrand, axis=tuple(range(-r, 0)))
@@ -313,7 +298,7 @@ def _log_G(lam: np.ndarray, X: np.ndarray, levels) -> np.ndarray:
     order, panels = levels[0]
     per_row = (order * panels) ** (m - 1)
     flat = X.reshape(-1, m)
-    step = max(1, _GRID_LIMIT // max(per_row, 1))
+    step = max(1, GRID_VALUES // max(per_row, 1))
     if flat.shape[0] <= step:
         return _log_G_block(lam, flat, levels).reshape(X.shape[:-1])
     outs = [
@@ -588,8 +573,8 @@ def psi_stable(
     n = lv.size - 1
     if n > cap:
         raise RankTooLarge(f"rank {n} exceeds cap {cap}")
-    if target_rel_err <= 0.0:
-        raise ValueError("target_rel_err must be positive")
+    if not 0.0 < target_rel_err < math.inf:
+        raise ValueError("target_rel_err must be positive and finite")
 
     if _min_gap(lv) <= DEFAULT_DEGENERATE_TOL or _min_gap(xv) <= DEFAULT_DEGENERATE_TOL:
         return _psi_confluent(lv, xv, target_rel_err, cap)

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__ as CODE_VERSION
 from . import factorization as fz
 from . import heat as ht
 from . import rootsystem as rs
@@ -26,7 +27,6 @@ from . import spherical as sp
 from .errors import RankTooLarge, WeylHeatError
 
 SCHEMA_VERSION = 1
-CODE_VERSION = "0.1.0"
 
 HIST_BINS = 24
 
@@ -303,7 +303,7 @@ def sweep_psi_ratio(config: SweepConfig, threads: int = 1) -> RatioReport:
 def _eval_heat_sample(args):
     idx, lam_g, x_g, t, target, delta, ck = args
     n = len(lam_g)
-    ctx = ht.HeatContext(n=n, d=n + 1, gamma=rs.gamma(n), c_k=ck, c_k_provenance="mms_quadrature")
+    ctx = ht.HeatContext(n=n, d=n + 1, gamma=rs.gamma(n), c_k=ck, c_k_provenance=ht.PROV_MMS)
     y = _coords_from_gaps(np.asarray(lam_g))
     x = _coords_from_gaps(np.asarray(x_g))
     flags = []

@@ -59,6 +59,19 @@ def test_non_finite_input_is_an_input_error(capsys):
     assert "finite" in err
 
 
+def test_non_finite_time_and_tolerance_are_input_errors(capsys):
+    for t in ("inf", "nan"):
+        code, _, err = run_cli(["heat", "--n", "1", "--t", t, "--x", "1,0", "--y", "0.5,0"], capsys)
+        assert code == 2
+        assert "t must be positive and finite" in err
+    for tol in ("inf", "nan"):
+        code, _, err = run_cli(
+            ["eval", "--n", "1", "--lambda", "1,0", "--x", "1,0", "--tolerance", tol], capsys
+        )
+        assert code == 2
+        assert "target_rel_err" in err
+
+
 def test_eval_numerical_failure_exit_code(capsys):
     # the pure alternating sum cannot handle coincident coordinates: input error
     code, _, err = run_cli(
@@ -124,6 +137,26 @@ def test_constants_output(capsys):
     code, out, _ = run_cli(["constants", "--n", "2"], capsys)
     obj = json.loads(out)
     assert obj["gamma"] == 3 and obj["d"] == 3 and obj["weyl_order"] == 6
+
+
+def test_constants_and_heat_run_at_rank_4_and_5(capsys):
+    def mehta_chamber(n):
+        m = n + 1
+        moment = (2 * math.pi) ** (m / 2) * math.prod(math.factorial(j) for j in range(1, m + 1))
+        return moment / math.factorial(m)
+
+    code, out, _ = run_cli(["constants", "--n", "5"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["c_k_chamber_mms"] == pytest.approx(mehta_chamber(5), rel=1e-15)
+    assert obj["mms_fullspace"] == pytest.approx(720 * mehta_chamber(5), rel=1e-15)
+    code, out, _ = run_cli(["heat", "--n", "4", "--t", "0.7", "--x", "4,3,2,1,0",
+                            "--y", "2,1.5,1,0.5,0"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["c_k"] == pytest.approx(mehta_chamber(4), rel=1e-15)
+    assert obj["c_k_provenance"] == "mms_closed_form"
+    assert math.isfinite(obj["log_value"])
 
 
 def test_sweep_writes_report_and_is_deterministic(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from weylheat import heat as ht
 from weylheat import rootsystem as rs
 from weylheat import spherical as sp
+from weylheat._quad import tensor_blocks
 from weylheat.errors import DegenerateInput, PreconditionViolated, RankTooLarge
 
 
@@ -36,6 +37,52 @@ def test_mms_chamber_values():
         assert ht.mms_constant(n) == pytest.approx(expect, rel=1e-12)
 
 
+def _gauss_hermite_moment(n, chamber, order=32):
+    """int e^{-|y|^2/2} pi(y)^2 dy by a tensor Gauss-Hermite rule.
+
+    The integrand is a polynomial times the Gaussian weight, so the rule is
+    exact once the order passes the degree.
+    """
+    m = n + 1
+    u, w = np.polynomial.hermite.hermgauss(order)
+    total = 0.0
+    for U, logw in tensor_blocks([u] * m, [np.log(w)] * m):
+        poly = np.ones(U.shape[:-1])
+        for i in range(m):
+            for j in range(i + 1, m):
+                poly = poly * (U[..., i] - U[..., j]) ** 2
+        total += float((poly * np.exp(logw)).sum())
+    # y = sqrt(2) u maps e^{-|y|^2/2} dy to the e^{-|u|^2} weight
+    val = total * 2.0 ** (m / 2.0 + rs.gamma(n))
+    return val / rs.weyl_order(n) if chamber else val
+
+
+@pytest.mark.parametrize("chamber", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mms_closed_form_matches_gauss_hermite(n, chamber):
+    expect = _gauss_hermite_moment(n, chamber)
+    assert ht.mms_constant(n, chamber=chamber) == pytest.approx(expect, rel=1e-12)
+
+
+def test_time_must_be_positive_and_finite(ctx1):
+    x, y = [1.0, 0.0], [0.5, 0.0]
+    calls = [
+        lambda t: ht.heat_flat(ctx1, t, x, y),
+        lambda t: ht.heat_envelope(t, x, y),
+        lambda t: ht.heat_curved_envelope(t, x, y),
+        lambda t: ht.images_oracle(ctx1, t, x, y),
+        lambda t: ht.inverse_fourier_oracle(ctx1, t, x, y),
+        lambda t: ht.pde_residual(ctx1, t, [2.0, 0.0], y, 1e-3),
+        lambda t: ht.semigroup_check(ctx1, t, 0.5, x, y),
+    ]
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for call in calls:
+            with pytest.raises(ValueError, match="t must be positive and finite"):
+                call(bad)
+        with pytest.raises(ValueError, match="s must be positive and finite"):
+            ht.semigroup_check(ctx1, 0.5, bad, x, y)
+
+
 def test_calibration_agrees_with_mms():
     for n in (1, 2):
         cal = ht.calibrate_constant(n)
@@ -51,7 +98,7 @@ def test_calibration_t_independence():
 
 
 def test_context_provenances(ctx1):
-    assert ctx1.c_k_provenance == "mms_quadrature"
+    assert ctx1.c_k_provenance == "mms_closed_form"
     both = ht.make_heat_context(1, provenance="calibrated", cross_check=True)
     assert both.c_k == pytest.approx(both.c_k_cross, rel=1e-6)
 

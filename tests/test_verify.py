@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weylheat
 from weylheat import verify as vf
 
 
@@ -185,3 +187,10 @@ def test_run_suite_rank1():
     assert results["props"]["passed"]
     assert results["cancellation"]["passed"]
     assert abs(results["heat_ratio"]["slope"] + 2.0) < 0.02
+
+
+def test_one_version_string():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert version == weylheat.__version__ == vf.CODE_VERSION
