@@ -253,8 +253,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_constants(args) -> int:
     n = args.n
+    c_mms = ht.mms_constant(n)  # first: it refuses ranks past binary64
     sysn = rs.root_system(n)
-    c_mms = ht.mms_constant(n)
     c_cal = ht.calibrate_constant(n, args.t_ref) if n <= 2 else None
     payload = {
         "n": n,

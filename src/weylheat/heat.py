@@ -15,6 +15,7 @@ a finite-difference heat-equation residual, and the semigroup property.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -57,10 +58,16 @@ def mms_constant(n: int, *, chamber: bool = True) -> float:
 
     Over R^m, m = n+1, the moment is (2 pi)^{m/2} prod_{j<=m} j!.  chamber=True
     restricts to the closed chamber (divide by |W| = m!, the integrand being
-    W-invariant); this is the normalization the kernel formulas use.
+    W-invariant); this is the normalization the kernel formulas use.  Ranks
+    whose constant exceeds binary64 raise RankTooLarge.
     """
     m = n + 1
     top = m - 1 if chamber else m
+    log_c = (m / 2.0) * math.log(2.0 * math.pi)
+    for j in range(2, top + 1):  # stops at the first factor past binary64
+        log_c += math.lgamma(j + 1.0)
+        if log_c > math.log(sys.float_info.max):
+            raise RankTooLarge(f"the Gaussian constant at rank {n} exceeds binary64")
     return (2.0 * math.pi) ** (m / 2.0) * math.prod(math.factorial(j) for j in range(1, top + 1))
 
 
@@ -79,7 +86,7 @@ def _log_c_prime(n: int, c_k: float) -> float:
     """log of pi(rho) / (2^{gamma + d/2} c_k), the image-sum front constant."""
     d = n + 1
     g = rs.gamma(n)
-    return rs.log_pi(rs.rho(n).array()) - (g + d / 2.0) * math.log(2.0) - math.log(c_k)
+    return rs._log_pi(rs.rho(n).array()) - (g + d / 2.0) * math.log(2.0) - math.log(c_k)
 
 
 def _chamber_log_integral(log_f, m: int, lo: float, hi: float, order: int, panels: int) -> float:
@@ -141,7 +148,7 @@ def _mass_with_unit_constant(n: int, t: float, xv: np.ndarray, order: int, panel
     lo = float(xv.min()) - radius
     hi = float(xv.max()) + radius
     core = _chamber_log_integral(log_f, d, lo, hi, order, panels)
-    return core + _log_c_prime(n, 1.0) - (d / 2.0) * math.log(t) - rs.log_pi(xv)
+    return core + _log_c_prime(n, 1.0) - (d / 2.0) * math.log(t) - rs._log_pi(xv)
 
 
 def calibrate_constant(n: int, t_ref: float = 1.0, tol: float = 1e-8, x_ref=None) -> float:
@@ -206,11 +213,18 @@ def _check_time(t: float, name: str = "t") -> None:
         raise ValueError(f"{name} must be positive and finite, got {t!r}")
 
 
+def _points(x, y, ctx: Optional[HeatContext] = None) -> tuple[np.ndarray, np.ndarray]:
+    """x and y checked as one pair, with the context's d coordinates when given."""
+    xv, yv = rs.as_pair(x, y, ("x", "y"))
+    if ctx is not None and xv.size != ctx.d:
+        raise ValueError(f"x and y need {ctx.d} coordinates at rank {ctx.n}, got {xv.size}")
+    return xv, yv
+
+
 def heat_flat(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -> sp.EvalResult:
     """log of p_t(X, Y) through the stable spherical evaluator."""
     _check_time(t)
-    xv = rs.as_coords(x, "x")
-    yv = rs.as_coords(y, "y")
+    xv, yv = _points(x, y, ctx)
     res = sp.psi_stable(xv, yv / (2.0 * t), target_log_err)
     log_value = (
         -(ctx.gamma + ctx.d / 2.0) * math.log(2.0)
@@ -226,8 +240,7 @@ def heat_flat(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -
 def heat_envelope(t: float, x, y) -> float:
     """log of t^{-d/2} exp(-|X-Y|^2/4t) / prod_{i<j} (t + (x_i-x_j)(y_i-y_j))."""
     _check_time(t)
-    xv = rs.as_coords(x, "x")
-    yv = rs.as_coords(y, "y")
+    xv, yv = _points(x, y)
     d = xv.size
     prods = rs.root_values(xv) * rs.root_values(yv)
     return float(
@@ -252,8 +265,7 @@ def _log_curved_prefactor(t: float, xv: np.ndarray, yv: np.ndarray, n: int) -> f
 
 def heat_curved(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -> sp.EvalResult:
     """Curved-side kernel: e^{-|rho|^2 t} pi(X)pi(Y)/(sinh-products) times p_t."""
-    xv = rs.as_coords(x, "x")
-    yv = rs.as_coords(y, "y")
+    xv, yv = _points(x, y, ctx)
     flat = heat_flat(ctx, t, xv, yv, target_log_err)
     pref = _log_curved_prefactor(t, xv, yv, ctx.n)
     return sp.EvalResult(pref + flat.log_value, flat.method,
@@ -263,8 +275,7 @@ def heat_curved(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12)
 def heat_curved_envelope(t: float, x, y) -> float:
     """log of the curved two-sided comparison form (with the Gaussian factor)."""
     _check_time(t)
-    xv = rs.as_coords(x, "x")
-    yv = rs.as_coords(y, "y")
+    xv, yv = _points(x, y)
     n = xv.size - 1
     rgh = rs.rho(n).array()
     ax = rs.root_values(xv)
@@ -291,8 +302,7 @@ def images_oracle(ctx: HeatContext, t: float, x, y) -> sp.EvalResult:
     the identity image dominates for chamber arguments.
     """
     _check_time(t)
-    xv = rs.as_coords(x, "x")
-    yv = rs.as_coords(y, "y")
+    xv, yv = _points(x, y, ctx)
     if np.min(xv[:-1] - xv[1:]) <= 0.0 or np.min(yv[:-1] - yv[1:]) <= 0.0:
         raise DegenerateInput("images oracle needs strictly dominant x and y")
     terms = rs.weyl_alt_terms(xv, yv, 1.0 / (2.0 * t))
@@ -306,8 +316,8 @@ def images_oracle(ctx: HeatContext, t: float, x, y) -> sp.EvalResult:
         - (ctx.d / 2.0) * math.log(t)
         + gauss
         + math.log(T)
-        - rs.log_pi(xv)
-        - rs.log_pi(yv)
+        - rs._log_pi(xv)
+        - rs._log_pi(yv)
     )
     err = np.finfo(float).eps * ((4.0 + abs(gauss)) * (A / T) + 4.0 * (1.0 + abs(log_value)))
     return sp.EvalResult(log_value, sp.METHOD_ALT, float(err))
@@ -353,9 +363,9 @@ def _fourier_constant_cached(n: int, c_k: float, tol: float) -> float:
     ref = heat_flat(ctx, t0, x0, y0).log_value
     raw = _fourier_integral(n, t0, x0, y0, tol)
     pref = raw * math.exp(
-        2.0 * rs.log_pi(rs.rho(n).array())
+        2.0 * rs._log_pi(rs.rho(n).array())
         - 2.0 * rs.gamma(n) * math.log(2.0)
-        - rs.log_pi(x0) - rs.log_pi(y0)
+        - rs._log_pi(x0) - rs._log_pi(y0)
     )
     return math.exp(ref) / pref
 
@@ -371,14 +381,13 @@ def inverse_fourier_oracle(
     if ctx.n > 2:
         raise RankTooLarge("Fourier oracle supports n <= 2")
     _check_time(t)
-    xv = rs.as_coords(x, "x")
-    yv = rs.as_coords(y, "y")
+    xv, yv = _points(x, y, ctx)
     c = const if const is not None else fourier_constant(ctx, tol)
     raw = _fourier_integral(ctx.n, t, xv, yv, tol)
     val = raw * math.exp(
-        2.0 * rs.log_pi(rs.rho(ctx.n).array())
+        2.0 * rs._log_pi(rs.rho(ctx.n).array())
         - 2.0 * rs.gamma(ctx.n) * math.log(2.0)
-        - rs.log_pi(xv) - rs.log_pi(yv)
+        - rs._log_pi(xv) - rs._log_pi(yv)
     ) * c
     if val <= 0.0:
         raise QuadratureNonconvergence("inversion integral came out nonpositive")
@@ -393,8 +402,8 @@ def pde_residual(ctx: HeatContext, t: float, x, y, h: float) -> float:
     exceed 2h so the stencil stays strictly inside the chamber.
     """
     _check_time(t)
-    xv = rs.as_coords(x, "x")
-    yv = rs.as_coords(y, "y")
+    _check_time(h, "h")
+    xv, yv = _points(x, y, ctx)
     if float(np.min(xv[:-1] - xv[1:])) <= 2.0 * h:
         raise PreconditionViolated("x must be at distance > 2h from the walls")
     if t <= 2.0 * h:
@@ -434,8 +443,7 @@ def semigroup_check(ctx: HeatContext, t: float, s: float, x, y, tol: float = 1e-
         raise RankTooLarge("semigroup quadrature supports n <= 2")
     _check_time(t)
     _check_time(s, "s")
-    xv = rs.as_coords(x, "x")
-    yv = rs.as_coords(y, "y")
+    xv, yv = _points(x, y, ctx)
     d = ctx.d
     logc = _log_c_prime(ctx.n, ctx.c_k)
 
@@ -460,7 +468,7 @@ def semigroup_check(ctx: HeatContext, t: float, s: float, x, y, tol: float = 1e-
         cur = (
             core + 2.0 * logc
             - (d / 2.0) * (math.log(t) + math.log(s))
-            - rs.log_pi(xv) - rs.log_pi(yv)
+            - rs._log_pi(xv) - rs._log_pi(yv)
         )
         if prev is not None:
             diff = abs(cur - prev)
@@ -513,8 +521,8 @@ class VolumeComparison:
 
 
 def volume_compare(ctx: HeatContext, t: float, x, y) -> VolumeComparison:
-    xv = rs.as_coords(x, "x")
-    yv = rs.as_coords(y, "y")
+    _check_time(t)
+    xv, yv = _points(x, y, ctx)
     sqt = math.sqrt(t)
     return VolumeComparison(
         t=t,

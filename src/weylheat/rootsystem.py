@@ -48,6 +48,17 @@ def as_coords(p, name: str = "point") -> np.ndarray:
     return v
 
 
+def as_pair(a, b, names=("lam", "x")) -> tuple[np.ndarray, np.ndarray]:
+    """Check two coordinate vectors of one rank >= 1; names label the messages."""
+    na, nb = names
+    av, bv = as_coords(a, na), as_coords(b, nb)
+    if av.size != bv.size:
+        raise ValueError(f"{na} and {nb} have different lengths ({av.size} vs {bv.size})")
+    if av.size < 2:
+        raise ValueError("rank must be >= 1 (at least two coordinates)")
+    return av, bv
+
+
 @dataclass(frozen=True)
 class ChamberPoint:
     """A dominant vector in R^{n+1}: weakly decreasing coordinates."""
@@ -226,6 +237,7 @@ def gamma(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@lru_cache(maxsize=None)
 def rho(n: int) -> ChamberPoint:
     return ChamberPoint(tuple(float(n + 2 - 2 * i) for i in range(1, n + 2)))
 
@@ -268,7 +280,10 @@ def pi(x) -> float:
 
 def log_pi(x) -> float:
     """log of pi(x) for dominant x; -inf when coordinates coincide."""
-    v = as_coords(x, "x")
+    return _log_pi(as_coords(x, "x"))
+
+
+def _log_pi(v: np.ndarray) -> float:
     total = 0.0
     for i in range(v.size):
         for j in range(i + 1, v.size):
@@ -299,8 +314,7 @@ def decompose_diff(y, w: WeylElement) -> np.ndarray:
 
 def min_weyl_pairing(lam, x, cap: int = DEFAULT_RANK_CAP) -> tuple[WeylElement, float]:
     """argmin and min of <w lam, X> over the whole Weyl group (brute force)."""
-    lv = as_coords(lam, "lam")
-    xv = as_coords(x, "x")
+    lv, xv = as_pair(lam, x)
     m = lv.size
     if m - 1 > cap:
         raise RankTooLarge(f"rank {m - 1} exceeds cap {cap}")
@@ -317,8 +331,10 @@ def min_weyl_pairing(lam, x, cap: int = DEFAULT_RANK_CAP) -> tuple[WeylElement, 
 
 def min_pairing_value(lam, x) -> float:
     """min_w <w lam, X> for dominant lam, x: the order-reversing pairing."""
-    lv = as_coords(lam, "lam")
-    xv = as_coords(x, "x")
+    return _min_pairing(*as_pair(lam, x))
+
+
+def _min_pairing(lv: np.ndarray, xv: np.ndarray) -> float:
     return float(np.dot(lv[::-1], xv))
 
 

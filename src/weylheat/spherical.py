@@ -75,16 +75,6 @@ class RegimeLabel:
     delta: float
 
 
-def _pair(lam, x) -> tuple[np.ndarray, np.ndarray]:
-    lv = rs.as_coords(lam, "lam")
-    xv = rs.as_coords(x, "x")
-    if lv.size != xv.size:
-        raise ValueError(f"lam and x have different lengths ({lv.size} vs {xv.size})")
-    if lv.size < 2:
-        raise ValueError("rank must be >= 1 (at least two coordinates)")
-    return lv, xv
-
-
 def _min_gap(v: np.ndarray) -> float:
     return float(np.min(v[:-1] - v[1:]))
 
@@ -121,7 +111,7 @@ def _alt_sum_log_T_float(lv: np.ndarray, xv: np.ndarray, dtype=np.float64):
             "alternating sum lost all significance at this precision; "
             "use a higher-precision path"
         )
-    spread = base - rs.min_pairing_value(lv, xv)
+    spread = base - rs._min_pairing(lv, xv)
     err = eps * (4.0 + abs(base) + spread) * (A / T)
     logT = math.log(T) if dtype is np.float64 else float(np.log(acc))
     return logT, err
@@ -163,7 +153,7 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
         )
         cond = float(A / T)
         out = float(log_pref + base + mp.log(T))
-    spread = float(np.dot(lv, xv)) - rs.min_pairing_value(lv, xv)
+    spread = float(np.dot(lv, xv)) - rs._min_pairing(lv, xv)
     err = 2.0 ** (2 - prec) * cond * (4.0 + abs(float(np.dot(lv, xv))) + spread)
     err += 0.75 * _EPS * (1.0 + abs(out))  # final float rounding
     return out, err
@@ -183,10 +173,10 @@ def _log_prefactor(lv: np.ndarray, xv: np.ndarray) -> float:
     n = lv.size - 1
     g = rs.gamma(n)
     return (
-        rs.log_pi(rs.rho(n).array())
+        rs._log_pi(rs.rho(n).array())
         - g * math.log(2.0)
-        - rs.log_pi(lv)
-        - rs.log_pi(xv)
+        - rs._log_pi(lv)
+        - rs._log_pi(xv)
     )
 
 
@@ -198,13 +188,13 @@ def cancellation_bits(lam, x) -> tuple[float, float]:
     |<lam,X>| plus the exponent spread, which bounds how much absolute
     log-accuracy a fixed-precision float can deliver.
     """
-    lv, xv = _pair(lam, x)
+    lv, xv = rs.as_pair(lam, x)
     gl = rs.root_values(lv)
     gx = rs.root_values(xv)
     prods = gl * gx
     bits = float(np.sum(np.log2(1.0 + 1.0 / (prods + _EPS))))
     base = float(np.dot(lv, xv))
-    spread = base - rs.min_pairing_value(lv, xv)
+    spread = base - rs._min_pairing(lv, xv)
     return bits, abs(base) + spread
 
 
@@ -223,7 +213,7 @@ def psi_alt_sum(
     are required (the prefactor divides by pi(lam) pi(x)); nearly coincident
     coordinates should go through psi_stable, which reroutes them.
     """
-    lv, xv = _pair(lam, x)
+    lv, xv = rs.as_pair(lam, x)
     n = lv.size - 1
     if n > cap:
         raise RankTooLarge(f"rank {n} exceeds cap {cap}")
@@ -315,7 +305,7 @@ def _log_psi_iter_once(lv: np.ndarray, xv: np.ndarray, levels) -> float:
         math.lgamma(m)
         + lv[-1] * float(xv.sum())
         + float(logG)
-        - rs.log_pi(xv)
+        - rs._log_pi(xv)
     )
 
 
@@ -326,14 +316,14 @@ def psi_iter_quadrature(lam, x, tol: float = 1e-9) -> EvalResult:
     be strictly dominant since the chain domain is built from its gaps.
     Supported for rank <= 3.
     """
-    lv, xv = _pair(lam, x)
+    lv, xv = rs.as_pair(lam, x)
     m = lv.size
     if m - 1 > 3:
         raise RankTooLarge("iter quadrature supports rank <= 3")
     if _min_gap(xv) <= 0.0:
         raise DegenerateInput("x must be strictly dominant for the chain recursion")
     if m == 2:
-        log_value = lv[-1] * float(xv.sum()) + float(_log_G2(lv, xv)) - rs.log_pi(xv)
+        log_value = lv[-1] * float(xv.sum()) + float(_log_G2(lv, xv)) - rs._log_pi(xv)
         return EvalResult(log_value, METHOD_ITER, 8.0 * _EPS * (1.0 + abs(log_value)))
     prev = None
     for levels in _ITER_RUNGS[m]:
@@ -368,7 +358,7 @@ def psi_mc_orbit(
     substreams keyed by (seed, batch index) of a counter-based generator, so
     the estimate is reproducible and independent of how work is split.
     """
-    lv, xv = _pair(lam, x)
+    lv, xv = rs.as_pair(lam, x)
     m = lv.size
     if m - 1 > cap:
         raise RankTooLarge(f"Monte Carlo supported for rank <= {cap}")
@@ -411,14 +401,14 @@ def psi_mc_orbit(
 
 def psi_envelope(lam, x) -> float:
     """log of exp(<lam, X>) / prod_{i<j} (1 + (lam_i - lam_j)(x_i - x_j))."""
-    lv, xv = _pair(lam, x)
+    lv, xv = rs.as_pair(lam, x)
     prods = rs.root_values(lv) * rs.root_values(xv)
     return float(np.dot(lv, xv) - np.sum(np.log1p(prods)))
 
 
 def phi_curved(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
     """Curved-side kernel: log phi = log pi(X) - sum log sinh alpha(X) + log psi."""
-    lv, xv = _pair(lam, x)
+    lv, xv = rs.as_pair(lam, x)
     ax = rs.root_values(xv)
     if np.any(ax <= 0.0):
         raise DegenerateInput("phi_curved needs strictly dominant x (sinh alpha(x) > 0)")
@@ -430,7 +420,7 @@ def phi_curved(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
 
 def phi_envelope(lam, x) -> float:
     """log of e^{(lam-rho)(X)} prod (1 + alpha(X)) / (1 + alpha(lam) alpha(X))."""
-    lv, xv = _pair(lam, x)
+    lv, xv = rs.as_pair(lam, x)
     n = lv.size - 1
     al = rs.root_values(lv)
     ax = rs.root_values(xv)
@@ -447,7 +437,7 @@ def regime_classify(lam, x, delta: float = DEFAULT_DELTA) -> RegimeLabel:
     sum is provably below e^{<lam,X>}/|W| in this normalization, where
     |alpha|^2 = 2).  small wins if both conditions hold.
     """
-    lv, xv = _pair(lam, x)
+    lv, xv = rs.as_pair(lam, x)
     n = lv.size - 1
     gl = lv[:-1] - lv[1:]
     gx = xv[:-1] - xv[1:]
@@ -551,7 +541,7 @@ def _plan(lv: np.ndarray, xv: np.ndarray, target_rel_err: float) -> tuple[int, i
 
 def planned_precision(lam, x, target_rel_err: float = DEFAULT_TARGET) -> int:
     """Mantissa bits psi_stable would use for non-degenerate input (53, 64, or more)."""
-    return _plan(*_pair(lam, x), target_rel_err)[0]
+    return _plan(*rs.as_pair(lam, x), target_rel_err)[0]
 
 
 def psi_stable(
@@ -569,7 +559,7 @@ def psi_stable(
     floats (80-bit when available, otherwise mpmath with 64 guard bits);
     coincident coordinates are rerouted to the confluent paths.
     """
-    lv, xv = _pair(lam, x)
+    lv, xv = rs.as_pair(lam, x)
     n = lv.size - 1
     if n > cap:
         raise RankTooLarge(f"rank {n} exceeds cap {cap}")

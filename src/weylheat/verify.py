@@ -8,6 +8,7 @@ sample index, so results do not depend on how work is parallelized.
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import io
 import itertools
@@ -230,6 +231,48 @@ def _iter_samples(config: SweepConfig, with_t: bool):
 
 
 # ---------------------------------------------------------------------------
+# sweep records and reports
+# ---------------------------------------------------------------------------
+
+def _sample_record(idx, lam, x, t, evaluate):
+    """(record, violation) of one sweep sample; evaluate() gives (result,
+    envelope, regime, violation), and a WeylHeatError becomes an error record."""
+    try:
+        res, env, reg, violation = evaluate()
+    except WeylHeatError as exc:
+        rec = RatioRecord(
+            index=idx, lam=tuple(lam), x=tuple(x), t=t,
+            log_value=math.nan, log_envelope=math.nan, log_ratio=math.nan,
+            ratio=math.nan, regime="", method="", abs_log_error=math.nan,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+        return rec, {"index": idx, "kind": "eval_error", "error": str(exc)}
+    log_ratio = res.log_value - env
+    confluent = res.method in (sp.METHOD_ITER, sp.METHOD_CLOSED)
+    rec = RatioRecord(
+        index=idx, lam=tuple(lam), x=tuple(x), t=t,
+        log_value=res.log_value, log_envelope=env, log_ratio=log_ratio,
+        ratio=math.exp(log_ratio), regime=reg, method=res.method,
+        abs_log_error=res.abs_log_error, flags=("confluent_path",) if confluent else (),
+    )
+    return rec, violation
+
+
+def _sweep_report(kind: str, config: SweepConfig, fn, tasks, threads: int) -> RatioReport:
+    results = _run_tasks(fn, tasks, threads)
+    records = [r for r, _v in results]
+    return RatioReport(
+        kind=kind,
+        config=config,
+        records=records,
+        aggregates=_aggregate(records),
+        violations=[v for _r, v in results if v is not None],
+        config_hash=config_hash(config),
+        created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    )
+
+
+# ---------------------------------------------------------------------------
 # psi ratio sweep
 # ---------------------------------------------------------------------------
 
@@ -237,17 +280,14 @@ def _eval_psi_sample(args):
     idx, lam_g, x_g, target, sandwich_tol, delta = args
     lam = _coords_from_gaps(np.asarray(lam_g))
     x = _coords_from_gaps(np.asarray(x_g))
-    flags = []
-    violation = None
-    try:
+
+    def evaluate():
         res = sp.psi_stable(lam, x, target)
-        if res.method in (sp.METHOD_ITER, sp.METHOD_CLOSED):
-            flags.append("confluent_path")
         env = sp.psi_envelope(lam, x)
         reg = sp.regime_classify(lam, x, delta).label
-        log_ratio = res.log_value - env
         lower = rs.min_pairing_value(lam, x)
         upper = float(np.dot(lam, x))
+        violation = None
         if res.log_value < lower - sandwich_tol or res.log_value > upper + sandwich_tol:
             violation = {
                 "index": idx,
@@ -256,21 +296,9 @@ def _eval_psi_sample(args):
                 "lower": lower,
                 "upper": upper,
             }
-        rec = RatioRecord(
-            index=idx, lam=tuple(lam), x=tuple(x), t=None,
-            log_value=res.log_value, log_envelope=env, log_ratio=log_ratio,
-            ratio=math.exp(log_ratio), regime=reg, method=res.method,
-            abs_log_error=res.abs_log_error, flags=tuple(flags),
-        )
-        return rec, violation
-    except WeylHeatError as exc:
-        rec = RatioRecord(
-            index=idx, lam=tuple(lam), x=tuple(x), t=None,
-            log_value=math.nan, log_envelope=math.nan, log_ratio=math.nan,
-            ratio=math.nan, regime="", method="", abs_log_error=math.nan,
-            flags=tuple(flags), error=f"{type(exc).__name__}: {exc}",
-        )
-        return rec, {"index": idx, "kind": "eval_error", "error": str(exc)}
+        return res, env, reg, violation
+
+    return _sample_record(idx, lam, x, None, evaluate)
 
 
 def sweep_psi_ratio(config: SweepConfig, threads: int = 1) -> RatioReport:
@@ -283,17 +311,7 @@ def sweep_psi_ratio(config: SweepConfig, threads: int = 1) -> RatioReport:
         (idx, tuple(lg), tuple(xg), config.target_log_err, config.sandwich_tol, config.delta)
         for idx, lg, xg, _t in _iter_samples(config, with_t=False)
     ]
-    results = _run_tasks(_eval_psi_sample, tasks, threads)
-    records = [r for r, _v in results]
-    violations = [v for _r, v in results if v is not None]
-    return _finish_report(RatioReport(
-        kind="psi_ratio",
-        config=config,
-        records=records,
-        aggregates=_aggregate(records),
-        violations=violations,
-        config_hash=config_hash(config),
-    ))
+    return _sweep_report("psi_ratio", config, _eval_psi_sample, tasks, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -306,29 +324,13 @@ def _eval_heat_sample(args):
     ctx = ht.HeatContext(n=n, d=n + 1, gamma=rs.gamma(n), c_k=ck, c_k_provenance=ht.PROV_MMS)
     y = _coords_from_gaps(np.asarray(lam_g))
     x = _coords_from_gaps(np.asarray(x_g))
-    flags = []
-    try:
+
+    def evaluate():
         res = ht.heat_flat(ctx, t, x, y, target)
-        if res.method in (sp.METHOD_ITER, sp.METHOD_CLOSED):
-            flags.append("confluent_path")
         env = ht.heat_envelope(t, x, y)
-        reg = sp.regime_classify(x, y / (2.0 * t), delta).label
-        log_ratio = res.log_value - env
-        rec = RatioRecord(
-            index=idx, lam=tuple(y), x=tuple(x), t=t,
-            log_value=res.log_value, log_envelope=env, log_ratio=log_ratio,
-            ratio=math.exp(log_ratio), regime=reg, method=res.method,
-            abs_log_error=res.abs_log_error, flags=tuple(flags),
-        )
-        return rec, None
-    except WeylHeatError as exc:
-        rec = RatioRecord(
-            index=idx, lam=tuple(np.asarray(lam_g)), x=tuple(np.asarray(x_g)), t=t,
-            log_value=math.nan, log_envelope=math.nan, log_ratio=math.nan,
-            ratio=math.nan, regime="", method="", abs_log_error=math.nan,
-            flags=tuple(flags), error=f"{type(exc).__name__}: {exc}",
-        )
-        return rec, {"index": idx, "kind": "eval_error", "error": str(exc)}
+        return res, env, sp.regime_classify(x, y / (2.0 * t), delta).label, None
+
+    return _sample_record(idx, y, x, t, evaluate)
 
 
 def sweep_heat_ratio(config: SweepConfig, threads: int = 1) -> RatioReport:
@@ -338,24 +340,7 @@ def sweep_heat_ratio(config: SweepConfig, threads: int = 1) -> RatioReport:
         (idx, tuple(lg), tuple(xg), t, config.target_log_err, config.delta, ck)
         for idx, lg, xg, t in _iter_samples(config, with_t=True)
     ]
-    results = _run_tasks(_eval_heat_sample, tasks, threads)
-    records = [r for r, _v in results]
-    violations = [v for _r, v in results if v is not None]
-    return _finish_report(RatioReport(
-        kind="heat_ratio",
-        config=config,
-        records=records,
-        aggregates=_aggregate(records),
-        violations=violations,
-        config_hash=config_hash(config),
-    ))
-
-
-def _finish_report(report: RatioReport) -> RatioReport:
-    import datetime
-
-    report.created_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return report
+    return _sweep_report("heat_ratio", config, _eval_heat_sample, tasks, threads)
 
 
 def _run_tasks(fn, tasks, threads: int):
@@ -378,7 +363,7 @@ def report_to_obj(report: RatioReport) -> dict:
         "config_hash": report.config_hash,
         "aggregates": report.aggregates,
         "violations": report.violations,
-        "records": [asdict(r) for r in report.records],
+        "records": [dict(vars(r)) for r in report.records],
     }
 
 

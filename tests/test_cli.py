@@ -159,6 +159,12 @@ def test_constants_and_heat_run_at_rank_4_and_5(capsys):
     assert math.isfinite(obj["log_value"])
 
 
+def test_constants_past_binary64_is_an_input_error(capsys):
+    code, _, err = run_cli(["constants", "--n", "30"], capsys)
+    assert code == 2
+    assert "binary64" in err
+
+
 def test_sweep_writes_report_and_is_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

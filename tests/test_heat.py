@@ -74,6 +74,7 @@ def test_time_must_be_positive_and_finite(ctx1):
         lambda t: ht.inverse_fourier_oracle(ctx1, t, x, y),
         lambda t: ht.pde_residual(ctx1, t, [2.0, 0.0], y, 1e-3),
         lambda t: ht.semigroup_check(ctx1, t, 0.5, x, y),
+        lambda t: ht.volume_compare(ctx1, t, x, y),
     ]
     for bad in (0.0, -1.0, math.nan, math.inf):
         for call in calls:
@@ -81,6 +82,44 @@ def test_time_must_be_positive_and_finite(ctx1):
                 call(bad)
         with pytest.raises(ValueError, match="s must be positive and finite"):
             ht.semigroup_check(ctx1, 0.5, bad, x, y)
+
+
+def test_heat_step_must_be_positive_and_finite(ctx1):
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            ht.pde_residual(ctx1, 1.0, [2.0, 0.0], [0.5, 0.0], bad)
+
+
+def test_mms_constant_refuses_ranks_past_binary64():
+    assert math.isfinite(ht.mms_constant(26))
+    assert math.isfinite(ht.mms_constant(25, chamber=False))
+    for n, chamber in ((26, False), (27, True), (30, True)):
+        with pytest.raises(RankTooLarge, match="binary64"):
+            ht.mms_constant(n, chamber=chamber)
+
+
+def test_context_rank_is_checked(ctx1):
+    # rank-2 vectors against a rank-1 context used to give a quietly wrong value
+    x, y = [2.0, 1.0, 0.0], [1.0, 0.5, 0.0]
+    calls = [
+        lambda: ht.heat_flat(ctx1, 0.7, x, y),
+        lambda: ht.heat_curved(ctx1, 0.7, x, y),
+        lambda: ht.images_oracle(ctx1, 0.7, x, y),
+        lambda: ht.inverse_fourier_oracle(ctx1, 0.7, x, y),
+        lambda: ht.pde_residual(ctx1, 1.0, x, y, 1e-3),
+        lambda: ht.semigroup_check(ctx1, 0.5, 0.5, x, y),
+        lambda: ht.volume_compare(ctx1, 0.7, x, y),
+        lambda: ht.heat_time_slope(ctx1, x, y),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need 2 coordinates at rank 1"):
+            call()
+    for env in (ht.heat_envelope, ht.heat_curved_envelope):
+        with pytest.raises(ValueError, match="x and y have different lengths"):
+            env(0.7, [1.0, 0.0], [1.0, 0.5, 0.0])
+    for fn in (ht.heat_flat, ht.images_oracle):
+        with pytest.raises(ValueError, match="x and y have different lengths"):
+            fn(ctx1, 0.7, [1.0, 0.0], [1.0, 0.5, 0.0])
 
 
 def test_calibration_agrees_with_mms():

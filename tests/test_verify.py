@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 import weylheat
+from weylheat import heat as ht
+from weylheat import rootsystem as rs
+from weylheat import spherical as sp
 from weylheat import verify as vf
+from weylheat.errors import DegenerateInput
 
 
 def small_psi_config(**kw):
@@ -98,6 +102,44 @@ def test_heat_sweep_runs_and_positive():
     assert len(rep.records) == 3 ** 3
     assert not rep.violations
     assert all(r.ratio > 0 and math.isfinite(r.ratio) for r in rep.records)
+
+
+def test_heat_error_record_carries_coordinates(monkeypatch):
+    def fail(*args, **kwargs):
+        raise DegenerateInput("forced")
+
+    monkeypatch.setattr(vf.ht, "heat_flat", fail)
+    rec, violation = vf._eval_heat_sample((7, (1.0, 2.0), (0.5, 0.25), 0.3, 1e-9, 1.0, 1.0))
+    assert rec.error == "DegenerateInput: forced"
+    assert violation == {"index": 7, "kind": "eval_error", "error": "forced"}
+    assert rec.lam == (3.0, 2.0, 0.0)
+    assert rec.x == (0.75, 0.25, 0.0)
+    assert rec.t == 0.3
+
+
+def _count_as_coords(monkeypatch):
+    calls = [0]
+    checked = rs.as_coords
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(rs, "as_coords", counted)
+    return calls
+
+
+def test_each_sample_checks_its_vectors_a_few_times(monkeypatch):
+    calls = _count_as_coords(monkeypatch)
+    lam, x = np.array([2.0, 0.7, 0.0]), np.array([1.5, 0.4, 0.0])
+    assert sp.psi_stable(lam, x).method == sp.METHOD_ALT
+    assert calls[0] <= 6  # the public pair check, cancellation_bits and psi_alt_sum
+    calls[0] = 0
+    rec, _ = vf._eval_psi_sample((0, (1.3, 0.7), (1.1, 0.4), 1e-9, 1e-9, 1.0))
+    assert rec.error is None and calls[0] <= 12
+    calls[0] = 0
+    rec, _ = vf._eval_heat_sample((0, (1.3, 0.7), (1.1, 0.4), 0.5, 1e-9, 1.0, ht.mms_constant(2)))
+    assert rec.error is None and calls[0] <= 12
 
 
 def test_csv_serialization_shape():
