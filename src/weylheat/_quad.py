@@ -87,6 +87,12 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
     return out
 
 
+def log_positive(a: np.ndarray) -> np.ndarray:
+    """log(a) where a > 0, else -inf (a nonpositive roundoff result or a wall)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), -np.inf)
+
+
 def log1mexp(u) -> np.ndarray:
     """log(1 - exp(-u)) for u > 0, stable across scales."""
     u = np.asarray(u, dtype=float)

@@ -83,15 +83,21 @@ def _axis_from_arg(text: str) -> vf.AxisSpec:
     return vf.AxisSpec(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: dict) -> argparse.ArgumentParser:
+    """The parser, with the --config values as subcommand flag defaults; a flag
+    the config supplies is no longer required on the command line."""
+
+    def required(dest: str) -> bool:
+        return dest not in config
+
     p = argparse.ArgumentParser(prog="weylheat", description=__doc__.splitlines()[0])
     p.add_argument("--config", default=None, help="JSON file with defaults for the subcommand flags")
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate the spherical kernel and its envelope")
-    pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--lambda", dest="lam", required=True, help="comma separated coordinates")
-    pe.add_argument("--x", required=True, help="comma separated coordinates")
+    pe.add_argument("--n", type=int, required=required("n"))
+    pe.add_argument("--lambda", dest="lam", required=required("lam"), help="comma separated coordinates")
+    pe.add_argument("--x", required=required("x"), help="comma separated coordinates")
     pe.add_argument("--method", choices=["stable", "alt", "iter", "mc"], default="stable")
     pe.add_argument("--tolerance", type=float, default=1e-12)
     pe.add_argument("--precision-bits", type=int, default=53)
@@ -101,10 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--output", default=None)
 
     ph = sub.add_parser("heat", help="evaluate heat kernels and their envelopes")
-    ph.add_argument("--n", type=int, required=True)
-    ph.add_argument("--t", type=float, required=True)
-    ph.add_argument("--x", required=True)
-    ph.add_argument("--y", required=True)
+    ph.add_argument("--n", type=int, required=required("n"))
+    ph.add_argument("--t", type=float, required=required("t"))
+    ph.add_argument("--x", required=required("x"))
+    ph.add_argument("--y", required=required("y"))
     ph.add_argument("--kind", choices=["flat", "curved"], default="flat")
     ph.add_argument("--tolerance", type=float, default=1e-12)
     ph.add_argument("--format", choices=["json", "plain"], default="json")
@@ -112,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="ratio sweeps over gap grids")
     ps.add_argument("--kind", choices=["psi", "heat"], default="psi")
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--n", type=int, required=required("n"))
     ps.add_argument("--lam-range", default="1e-3:1e3:8", help="lo:hi:points for spectral gaps")
     ps.add_argument("--x-range", default="1e-3:1e3:8")
     ps.add_argument("--t-range", default="1e-2:1e2:6")
@@ -124,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--output", default=None)
 
     pv = sub.add_parser("verify", help="run named verification suites")
-    pv.add_argument("--n", type=int, required=True)
+    pv.add_argument("--n", type=int, required=required("n"))
     pv.add_argument("--suite", default="all",
                     choices=["psi_ratio", "heat_ratio", "props", "cancellation", "all"])
     pv.add_argument("--seed", type=int, default=0)
@@ -133,10 +139,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--output", default=None)
 
     pc = sub.add_parser("constants", help="print rank-level constants")
-    pc.add_argument("--n", type=int, required=True)
+    pc.add_argument("--n", type=int, required=required("n"))
     pc.add_argument("--t-ref", type=float, default=1.0)
     pc.add_argument("--format", choices=["json", "plain"], default="json")
     pc.add_argument("--output", default=None)
+
+    # keys no subcommand flag has stay unused; the parent's own dests are not flag defaults
+    flags = {k: v for k, v in config.items() if k not in ("command", "config")}
+    for spp in (pe, ph, ps, pv, pc):
+        spp.set_defaults(**flags)
     return p
 
 
@@ -253,6 +264,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_constants(args) -> int:
     n = args.n
+    rs.check_positive(args.t_ref, "t_ref")  # also where no calibration runs (n > 2)
     c_mms = ht.mms_constant(n)  # first: it refuses ranks past binary64
     sysn = rs.root_system(n)
     c_cal = ht.calibrate_constant(n, args.t_ref) if n <= 2 else None
@@ -276,23 +288,21 @@ def _cmd_constants(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     # --config supplies defaults; explicit flags win because they are parsed after
+    config = {}
     if "--config" in argv:
         idx = argv.index("--config")
         try:
             with open(argv[idx + 1]) as fh:
-                defaults = json.load(fh)
+                config = json.load(fh)
         except (OSError, json.JSONDecodeError, IndexError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        for spp in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-            known = {a.dest for a in spp._actions}  # noqa: SLF001
-            spp.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-            for action in spp._actions:  # noqa: SLF001
-                if action.required and action.dest in defaults:
-                    action.required = False
+        if not isinstance(config, dict):
+            print("error: config must be a JSON object of flag defaults", file=sys.stderr)
+            return EXIT_INPUT
+    parser = _build_parser(config)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rootsystem as rs
-from ._quad import gl_nodes, log_ratio_1mexp, logsumexp, tensor_blocks
+from ._quad import gl_nodes, log_positive, log_ratio_1mexp, logsumexp, tensor_blocks
 from .errors import (
     PreconditionViolated,
     QuadratureNonconvergence,
@@ -100,11 +100,6 @@ def reverse_input(inp: FactorInput) -> FactorInput:
     return FactorInput(rs.ChamberPoint(lam), rs.ChamberPoint(x))
 
 
-def lambda0_weights(lam) -> np.ndarray:
-    lv = rs.as_coords(lam, "lam")
-    return lv[:-1] - lv[-1]
-
-
 # exponent range beyond which the e^{-a (x_k - y_k)} factor confines the mass
 # to a boundary layer; nodes are then placed in the layer (tail < e^{-45})
 _LAYER_CUT = 30.0
@@ -169,11 +164,8 @@ def _log_integrand_exact(lv: np.ndarray, Y: np.ndarray) -> np.ndarray:
     n = lv.size - 1
     lam0 = lv[:-1] - lv[-1]
     out = Y @ lam0
-    T = rs.weyl_alt_terms(Y, lam0).sum(axis=-1)
     pref = sum(math.lgamma(k + 1) for k in range(1, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logT = np.where(T > 0.0, np.log(np.where(T > 0.0, T, 1.0)), -np.inf)
-    return out + logT + pref
+    return out + log_positive(rs.weyl_alt_terms(Y, lam0).sum(axis=-1)) + pref
 
 
 def _master_once(lv: np.ndarray, xv: np.ndarray, order: int, levels: int, form: str) -> float:
@@ -193,6 +185,7 @@ def master_integral(inp: FactorInput, tol: float = 1e-8, *, form: str = "ratio")
     """
     if form not in ("ratio", "exact"):
         raise ValueError("form must be 'ratio' or 'exact'")
+    rs.check_positive(tol, "tol")
     lv = inp.lam.array()
     xv = inp.x.array()
     n = inp.n
@@ -229,6 +222,7 @@ def factor_integral(inp: FactorInput, k: int, tol: float = 1e-10) -> float:
     n = inp.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
+    rs.check_positive(tol, "tol")
     a = lv[k - 1] - lv[-1]
     w = xv[k - 1] - xv[k]
     if w <= 0.0:

@@ -8,8 +8,9 @@ with d = n+1 ambient dimensions, gamma positive roots, and c the Gaussian
 normalization constant, fixed so that the kernel has unit mass on the chamber.
 Two independent routes to c are provided (Mehta's closed form of the Gaussian
 moment and kernel-mass calibration) plus four independent checks of the kernel
-itself: a signed-image expansion, an oscillatory-spectrum inversion integral,
-a finite-difference heat-equation residual, and the semigroup property.
+itself: a signed-image expansion, an oscillatory-spectrum inversion integral
+with a closed-form front constant, a finite-difference heat-equation residual,
+and the semigroup property.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import rootsystem as rs
 from . import spherical as sp
-from ._quad import GRID_VALUES, gl_nodes, log_sinh, logsumexp, tensor_blocks
+from ._quad import GRID_VALUES, gl_nodes, log_positive, log_sinh, logsumexp, tensor_blocks
 from .errors import (
     CalibrationError,
     DegenerateInput,
@@ -77,9 +78,7 @@ def _log_images_T(xv: np.ndarray, Y: np.ndarray, inv2t: float) -> np.ndarray:
     Nonpositive roundoff results (possible when Y sits almost on a wall) are
     returned as -inf; their true contribution is below roundoff anyway.
     """
-    T = rs.weyl_alt_terms(xv, Y, inv2t).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(T > 0.0, np.log(np.where(T > 0.0, T, 1.0)), -np.inf)
+    return log_positive(rs.weyl_alt_terms(xv, Y, inv2t).sum(axis=-1))
 
 
 def _log_c_prime(n: int, c_k: float) -> float:
@@ -137,11 +136,9 @@ def _mass_with_unit_constant(n: int, t: float, xv: np.ndarray, order: int, panel
     def log_f(Y):
         quad = ((Y - xv) ** 2).sum(axis=-1)
         logpi = np.zeros(Y.shape[:-1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(d):
-                for j in range(i + 1, d):
-                    diff = Y[..., i] - Y[..., j]
-                    logpi += np.where(diff > 0.0, np.log(np.where(diff > 0.0, diff, 1.0)), -np.inf)
+        for i in range(d):
+            for j in range(i + 1, d):
+                logpi += log_positive(Y[..., i] - Y[..., j])
         return -quad / (4.0 * t) + logpi + _log_images_T(xv, Y, inv2t)
 
     radius = math.sqrt(4.0 * t * (math.log(1e14) + 8.0)) + 2.0
@@ -151,18 +148,18 @@ def _mass_with_unit_constant(n: int, t: float, xv: np.ndarray, order: int, panel
     return core + _log_c_prime(n, 1.0) - (d / 2.0) * math.log(t) - rs._log_pi(xv)
 
 
-def calibrate_constant(n: int, t_ref: float = 1.0, tol: float = 1e-8, x_ref=None) -> float:
+def calibrate_constant(n: int, t_ref: float = 1.0, tol: float = 1e-8) -> float:
     """The unique c giving unit chamber mass at t_ref, with a t-independence check.
 
-    Rank n <= 2 (the mass integral is over n+1 ordered coordinates).  The same
-    c must renormalize the kernel at 2 t_ref to 1e-6, else CalibrationError.
+    Rank n <= 2 (the mass integral is over n+1 ordered coordinates), from the
+    base point 0.75 rho.  The same c must renormalize the kernel at 2 t_ref to
+    1e-6, else CalibrationError.
     """
     if n > 2:
         raise RankTooLarge("calibration quadrature supports n <= 2")
-    if x_ref is None:
-        xv = 0.75 * rs.rho(n).array()
-    else:
-        xv = rs.as_coords(x_ref, "x_ref")
+    rs.check_positive(t_ref, "t_ref")
+    rs.check_positive(tol, "tol")
+    xv = 0.75 * rs.rho(n).array()
     vals = {}
     for t in (t_ref, 2.0 * t_ref):
         prev = None
@@ -182,22 +179,15 @@ def calibrate_constant(n: int, t_ref: float = 1.0, tol: float = 1e-8, x_ref=None
     return c1
 
 
-def make_heat_context(
-    n: int,
-    *,
-    provenance: str = PROV_MMS,
-    t_ref: float = 1.0,
-    tol: float = 1e-8,
-    cross_check: bool = False,
-) -> HeatContext:
+def make_heat_context(n: int, *, provenance: str = PROV_MMS, cross_check: bool = False) -> HeatContext:
     """Build the rank context; cross_check also computes the other provenance."""
     if provenance not in (PROV_MMS, PROV_CALIBRATED):
         raise ValueError(f"unknown provenance {provenance!r}")
     if provenance == PROV_MMS:
         c = mms_constant(n)
-        other = calibrate_constant(n, t_ref, tol) if (cross_check and n <= 2) else None
+        other = calibrate_constant(n) if (cross_check and n <= 2) else None
     else:
-        c = calibrate_constant(n, t_ref, tol)
+        c = calibrate_constant(n)
         other = mms_constant(n) if cross_check else None
     return HeatContext(
         n=n, d=n + 1, gamma=rs.gamma(n), c_k=c, c_k_provenance=provenance, c_k_cross=other
@@ -207,11 +197,6 @@ def make_heat_context(
 # ---------------------------------------------------------------------------
 # kernels and envelopes
 # ---------------------------------------------------------------------------
-
-def _check_time(t: float, name: str = "t") -> None:
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {t!r}")
-
 
 def _points(x, y, ctx: Optional[HeatContext] = None) -> tuple[np.ndarray, np.ndarray]:
     """x and y checked as one pair, with the context's d coordinates when given."""
@@ -223,7 +208,7 @@ def _points(x, y, ctx: Optional[HeatContext] = None) -> tuple[np.ndarray, np.nda
 
 def heat_flat(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -> sp.EvalResult:
     """log of p_t(X, Y) through the stable spherical evaluator."""
-    _check_time(t)
+    rs.check_positive(t, "t")
     xv, yv = _points(x, y, ctx)
     res = sp.psi_stable(xv, yv / (2.0 * t), target_log_err)
     log_value = (
@@ -239,7 +224,7 @@ def heat_flat(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -
 
 def heat_envelope(t: float, x, y) -> float:
     """log of t^{-d/2} exp(-|X-Y|^2/4t) / prod_{i<j} (t + (x_i-x_j)(y_i-y_j))."""
-    _check_time(t)
+    rs.check_positive(t, "t")
     xv, yv = _points(x, y)
     d = xv.size
     prods = rs.root_values(xv) * rs.root_values(yv)
@@ -274,7 +259,7 @@ def heat_curved(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12)
 
 def heat_curved_envelope(t: float, x, y) -> float:
     """log of the curved two-sided comparison form (with the Gaussian factor)."""
-    _check_time(t)
+    rs.check_positive(t, "t")
     xv, yv = _points(x, y)
     n = xv.size - 1
     rgh = rs.rho(n).array()
@@ -301,7 +286,7 @@ def images_oracle(ctx: HeatContext, t: float, x, y) -> sp.EvalResult:
     C' = pi(rho) / (2^{gamma+d/2} c).  Compensated summation over the images;
     the identity image dominates for chamber arguments.
     """
-    _check_time(t)
+    rs.check_positive(t, "t")
     xv, yv = _points(x, y, ctx)
     if np.min(xv[:-1] - xv[1:]) <= 0.0 or np.min(yv[:-1] - yv[1:]) <= 0.0:
         raise DegenerateInput("images oracle needs strictly dominant x and y")
@@ -349,46 +334,34 @@ def _fourier_integral(n: int, t: float, xv: np.ndarray, yv: np.ndarray, tol: flo
     return total
 
 
-def fourier_constant(ctx: HeatContext, tol: float = 1e-8) -> float:
-    """Front constant of the inversion integral, calibrated once per rank."""
-    return _fourier_constant_cached(ctx.n, ctx.c_k, tol)
+def fourier_constant(ctx: HeatContext) -> float:
+    """Front constant 2^{gamma-d/2} / (c d! pi(rho) pi^{d/2}) of the inversion integral.
 
-
-@lru_cache(maxsize=8)
-def _fourier_constant_cached(n: int, c_k: float, tol: float) -> float:
-    ctx = HeatContext(n=n, d=n + 1, gamma=rs.gamma(n), c_k=c_k, c_k_provenance=PROV_MMS)
-    t0 = 0.5
-    x0 = 0.6 * rs.rho(n).array()
-    y0 = 0.45 * rs.rho(n).array() + 0.1
-    ref = heat_flat(ctx, t0, x0, y0).log_value
-    raw = _fourier_integral(n, t0, x0, y0, tol)
-    pref = raw * math.exp(
-        2.0 * rs._log_pi(rs.rho(n).array())
-        - 2.0 * rs.gamma(n) * math.log(2.0)
-        - rs._log_pi(x0) - rs._log_pi(y0)
-    )
-    return math.exp(ref) / pref
-
-
-def inverse_fourier_oracle(
-    ctx: HeatContext, t: float, x, y, tol: float = 1e-8, const: Optional[float] = None
-) -> sp.EvalResult:
-    """Oscillatory-spectrum inversion for p_t (rank <= 2).
-
-    The front constant is calibrated once against heat_flat at a fixed
-    reference point and reused for every other evaluation.
+    By (t/pi)^{d/2} int e^{-t|lam|^2} e^{i<lam, Z>} d lam = e^{-|Z|^2/4t}, the raw
+    integral is d! (pi/t)^{d/2} times the signed image sum: S_X conj(S_Y) counts
+    each image |W| = d! times.  With the image-sum constant pi(rho) /
+    (2^{gamma+d/2} c), p_t is this constant times the raw integral times
+    pi(rho)^2 / (4^gamma pi(X) pi(Y)).
     """
+    return 2.0 ** (ctx.gamma - ctx.d / 2.0) / (
+        ctx.c_k * math.factorial(ctx.d) * rs.pi(rs.rho(ctx.n).array()) * math.pi ** (ctx.d / 2.0)
+    )
+
+
+def inverse_fourier_oracle(ctx: HeatContext, t: float, x, y, tol: float = 1e-8) -> sp.EvalResult:
+    """Oscillatory-spectrum inversion for p_t (rank <= 2), with the closed-form
+    front constant of fourier_constant."""
     if ctx.n > 2:
         raise RankTooLarge("Fourier oracle supports n <= 2")
-    _check_time(t)
+    rs.check_positive(t, "t")
+    rs.check_positive(tol, "tol")
     xv, yv = _points(x, y, ctx)
-    c = const if const is not None else fourier_constant(ctx, tol)
     raw = _fourier_integral(ctx.n, t, xv, yv, tol)
     val = raw * math.exp(
         2.0 * rs._log_pi(rs.rho(ctx.n).array())
         - 2.0 * rs.gamma(ctx.n) * math.log(2.0)
         - rs._log_pi(xv) - rs._log_pi(yv)
-    ) * c
+    ) * fourier_constant(ctx)
     if val <= 0.0:
         raise QuadratureNonconvergence("inversion integral came out nonpositive")
     return sp.EvalResult(math.log(val), sp.METHOD_ITER, tol)
@@ -401,8 +374,8 @@ def pde_residual(ctx: HeatContext, t: float, x, y, h: float) -> float:
     2 sum_{alpha>0} <grad, alpha> / alpha(X).  Requires every gap of x to
     exceed 2h so the stencil stays strictly inside the chamber.
     """
-    _check_time(t)
-    _check_time(h, "h")
+    rs.check_positive(t, "t")
+    rs.check_positive(h, "h")
     xv, yv = _points(x, y, ctx)
     if float(np.min(xv[:-1] - xv[1:])) <= 2.0 * h:
         raise PreconditionViolated("x must be at distance > 2h from the walls")
@@ -441,8 +414,9 @@ def semigroup_check(ctx: HeatContext, t: float, s: float, x, y, tol: float = 1e-
     """
     if ctx.n > 2:
         raise RankTooLarge("semigroup quadrature supports n <= 2")
-    _check_time(t)
-    _check_time(s, "s")
+    rs.check_positive(t, "t")
+    rs.check_positive(s, "s")
+    rs.check_positive(tol, "tol")
     xv, yv = _points(x, y, ctx)
     d = ctx.d
     logc = _log_c_prime(ctx.n, ctx.c_k)
@@ -489,12 +463,11 @@ def semigroup_check(ctx: HeatContext, t: float, s: float, x, y, tol: float = 1e-
 
 def ball_volume(x, r: float) -> float:
     """Comparison volume r^d prod_{i<j} (r + (x_i - x_j))^2."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
     return math.exp(log_ball_volume(x, r))
 
 
 def log_ball_volume(x, r: float) -> float:
+    rs.check_positive(r, "r")
     xv = rs.as_coords(x, "x")
     return float(xv.size * math.log(r) + 2.0 * np.sum(np.log(r + rs.root_values(xv))))
 
@@ -521,7 +494,7 @@ class VolumeComparison:
 
 
 def volume_compare(ctx: HeatContext, t: float, x, y) -> VolumeComparison:
-    _check_time(t)
+    rs.check_positive(t, "t")
     xv, yv = _points(x, y, ctx)
     sqt = math.sqrt(t)
     return VolumeComparison(
@@ -534,8 +507,8 @@ def volume_compare(ctx: HeatContext, t: float, x, y) -> VolumeComparison:
     )
 
 
-def heat_time_slope(ctx: HeatContext, x, y, t_hi: float = 1e6) -> float:
-    """d log p / d log t at large t; tends to -(d/2 + gamma)."""
-    a = heat_flat(ctx, t_hi, x, y).log_value
-    b = heat_flat(ctx, 2.0 * t_hi, x, y).log_value
+def heat_time_slope(ctx: HeatContext, x, y) -> float:
+    """d log p / d log t between t = 1e6 and 2e6; tends to -(d/2 + gamma)."""
+    a = heat_flat(ctx, 1e6, x, y).log_value
+    b = heat_flat(ctx, 2e6, x, y).log_value
     return (b - a) / math.log(2.0)

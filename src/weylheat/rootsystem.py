@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import DominanceError, RankTooLarge
 
-# Default cap on the rank for any operation that enumerates the Weyl group;
+# Cap on the rank for any operation that enumerates the Weyl group;
 # (n+1)! terms, so n=8 already means 362880 permutations.
-DEFAULT_RANK_CAP = 8
+RANK_CAP = 8
 
 # Full permutation tables are cached up to this coordinate count; larger
 # ranks are streamed in chunks so memory stays bounded.
@@ -46,6 +46,18 @@ def as_coords(p, name: str = "point") -> np.ndarray:
             raise DominanceError(f"{name} coordinates must be finite: {v.tolist()}")
         raise DominanceError(f"{name} coordinates must be weakly decreasing: {v.tolist()}")
     return v
+
+
+def check_positive(value: float, name: str) -> None:
+    """Require a positive finite number: a time, step, tolerance or radius."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_rank(n: int) -> None:
+    """Refuse ranks whose (n+1)! enumeration passes RANK_CAP."""
+    if n > RANK_CAP:
+        raise RankTooLarge(f"rank {n} exceeds cap {RANK_CAP} ((n+1)! enumeration)")
 
 
 def as_pair(a, b, names=("lam", "x")) -> tuple[np.ndarray, np.ndarray]:
@@ -165,18 +177,18 @@ def _perm_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, _signs_from_rows(perms)
 
 
-def perm_sign_chunks(m: int, chunk: int = _PERM_CHUNK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def perm_sign_chunks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (perm_rows, signs) covering S_m exactly once, in lexicographic order.
 
-    Small m is served from a cached table; large m is streamed so memory use
-    is proportional to the chunk size, not (m)!.
+    Small m is served from a cached table; large m is streamed in blocks of
+    _PERM_CHUNK rows so memory use does not grow with m!.
     """
     if m <= _PERM_TABLE_MAX:
         yield _perm_table(m)
         return
     it = itertools.permutations(range(m))
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, _PERM_CHUNK))
         if not block:
             return
         rows = np.array(block, dtype=np.int64)
@@ -256,16 +268,11 @@ def weyl_order(n: int) -> int:
     return math.factorial(n + 1)
 
 
-def weyl_elements(n: int, cap: int = DEFAULT_RANK_CAP) -> Iterator[WeylElement]:
+def weyl_elements(n: int) -> Iterator[WeylElement]:
     """Stream all (n+1)! Weyl elements, each exactly once."""
-    if n > cap:
-        raise RankTooLarge(f"rank {n} exceeds cap {cap} ((n+1)! enumeration)")
+    check_rank(n)
     for perm in itertools.permutations(range(n + 1)):
         yield WeylElement(perm, permutation_sign(perm))
-
-
-def apply_weyl(w: WeylElement, x) -> np.ndarray:
-    return w.apply(np.asarray(x, dtype=float))
 
 
 def pi(x) -> float:
@@ -312,12 +319,11 @@ def decompose_diff(y, w: WeylElement) -> np.ndarray:
     return np.cumsum(diff)[:-1]
 
 
-def min_weyl_pairing(lam, x, cap: int = DEFAULT_RANK_CAP) -> tuple[WeylElement, float]:
+def min_weyl_pairing(lam, x) -> tuple[WeylElement, float]:
     """argmin and min of <w lam, X> over the whole Weyl group (brute force)."""
     lv, xv = as_pair(lam, x)
     m = lv.size
-    if m - 1 > cap:
-        raise RankTooLarge(f"rank {m - 1} exceeds cap {cap}")
+    check_rank(m - 1)
     best_val = math.inf
     best_perm = None
     for rows, _signs in perm_sign_chunks(m):
@@ -346,7 +352,7 @@ def fundamental_weight(n: int, k: int) -> ChamberPoint:
     return ChamberPoint(tuple(v))
 
 
-def remark_bound_constant(n: int, cap: int = DEFAULT_RANK_CAP) -> float:
+def remark_bound_constant(n: int) -> float:
     """Smallest C with c_i(Y, w) <= C max_k alpha_k(Y) for all w and dominant Y.
 
     The decomposition coefficients are integer combinations of the simple-root
@@ -355,7 +361,7 @@ def remark_bound_constant(n: int, cap: int = DEFAULT_RANK_CAP) -> float:
     """
     weights = [fundamental_weight(n, k) for k in range(1, n + 1)]
     c_max = 0.0
-    for w in weyl_elements(n, cap=cap):
+    for w in weyl_elements(n):
         cols = np.stack([decompose_diff(om, w) for om in weights], axis=1)
         row_sums = cols.sum(axis=1)
         c_max = max(c_max, float(row_sums.max(initial=0.0)))

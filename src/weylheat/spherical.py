@@ -50,6 +50,8 @@ _EPS = float(np.finfo(float).eps)
 _LD = np.longdouble
 _HAVE_LD80 = np.finfo(_LD).nmant >= 63
 _MAX_PREC = 8192
+_MC_RANK_CAP = 5
+_MC_BATCH = 100_000  # Haar samples per substream
 
 
 @dataclass(frozen=True)
@@ -198,14 +200,7 @@ def cancellation_bits(lam, x) -> tuple[float, float]:
     return bits, abs(base) + spread
 
 
-def psi_alt_sum(
-    lam,
-    x,
-    precision_bits: int = 53,
-    *,
-    cap: int = rs.DEFAULT_RANK_CAP,
-    degenerate_tol: float = DEFAULT_DEGENERATE_TOL,
-) -> EvalResult:
+def psi_alt_sum(lam, x, precision_bits: int = 53) -> EvalResult:
     """psi via the alternating sum at a requested precision.
 
     precision_bits == 53 runs the compensated binary64 path; larger values run
@@ -214,10 +209,8 @@ def psi_alt_sum(
     coordinates should go through psi_stable, which reroutes them.
     """
     lv, xv = rs.as_pair(lam, x)
-    n = lv.size - 1
-    if n > cap:
-        raise RankTooLarge(f"rank {n} exceeds cap {cap}")
-    if _min_gap(lv) <= degenerate_tol or _min_gap(xv) <= degenerate_tol:
+    rs.check_rank(lv.size - 1)
+    if _min_gap(lv) <= DEFAULT_DEGENERATE_TOL or _min_gap(xv) <= DEFAULT_DEGENERATE_TOL:
         raise DegenerateInput(
             "coordinates coincide within tolerance; use psi_stable or psi_iter_quadrature"
         )
@@ -320,6 +313,7 @@ def psi_iter_quadrature(lam, x, tol: float = 1e-9) -> EvalResult:
     m = lv.size
     if m - 1 > 3:
         raise RankTooLarge("iter quadrature supports rank <= 3")
+    rs.check_positive(tol, "tol")
     if _min_gap(xv) <= 0.0:
         raise DegenerateInput("x must be strictly dominant for the chain recursion")
     if m == 2:
@@ -342,15 +336,7 @@ def psi_iter_quadrature(lam, x, tol: float = 1e-9) -> EvalResult:
 # Monte Carlo over the unitary orbit
 # ---------------------------------------------------------------------------
 
-def psi_mc_orbit(
-    lam,
-    x,
-    samples: int,
-    seed: int,
-    *,
-    batch: int = 100_000,
-    cap: int = 5,
-) -> EvalResult:
+def psi_mc_orbit(lam, x, samples: int, seed: int) -> EvalResult:
     """Haar Monte Carlo estimate of psi (orbit average of exp(<lam, U x U*>)).
 
     Haar unitaries come from QR of complex Gaussian matrices with the diagonal
@@ -360,8 +346,8 @@ def psi_mc_orbit(
     """
     lv, xv = rs.as_pair(lam, x)
     m = lv.size
-    if m - 1 > cap:
-        raise RankTooLarge(f"Monte Carlo supported for rank <= {cap}")
+    if m - 1 > _MC_RANK_CAP:
+        raise RankTooLarge(f"Monte Carlo supported for rank <= {_MC_RANK_CAP}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     M = -math.inf
@@ -370,7 +356,7 @@ def psi_mc_orbit(
     done = 0
     b = 0
     while done < samples:
-        k = min(batch, samples - done)
+        k = min(_MC_BATCH, samples - done)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
         g = (rng.standard_normal((k, m, m)) + 1j * rng.standard_normal((k, m, m))) / math.sqrt(2.0)
         q, r = np.linalg.qr(g)
@@ -479,7 +465,7 @@ def _richardson(eps_values, log_values):
     return est, err
 
 
-def _psi_confluent(lv, xv, target, cap):
+def _psi_confluent(lv, xv, target):
     """Handle coincident coordinates: exact shortcut, chain quadrature, or
     an eps-perturbed alternating sum extrapolated to the confluent limit."""
     m = lv.size
@@ -515,7 +501,7 @@ def _psi_confluent(lv, xv, target, cap):
     for e in eps_list:
         lp = lv + e * rv if _min_gap(lv) <= DEFAULT_DEGENERATE_TOL else lv
         xp = xv + e * rv if _min_gap(xv) <= DEFAULT_DEGENERATE_TOL else xv
-        logs.append(psi_stable(lp, xp, target_rel_err=min(target, 1e-11), cap=cap).log_value)
+        logs.append(psi_stable(lp, xp, target_rel_err=min(target, 1e-11)).log_value)
     est, err = _richardson(eps_list, logs)
     if err > max(target, 4.0 * _EPS * (1.0 + abs(est))):
         raise ToleranceUnachievable(
@@ -544,13 +530,7 @@ def planned_precision(lam, x, target_rel_err: float = DEFAULT_TARGET) -> int:
     return _plan(*rs.as_pair(lam, x), target_rel_err)[0]
 
 
-def psi_stable(
-    lam,
-    x,
-    target_rel_err: float = DEFAULT_TARGET,
-    *,
-    cap: int = rs.DEFAULT_RANK_CAP,
-) -> EvalResult:
+def psi_stable(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
     """Evaluate psi with a guaranteed log-domain error bound.
 
     Dispatch: well-conditioned inputs take the compensated 64-bit alternating
@@ -560,14 +540,11 @@ def psi_stable(
     coincident coordinates are rerouted to the confluent paths.
     """
     lv, xv = rs.as_pair(lam, x)
-    n = lv.size - 1
-    if n > cap:
-        raise RankTooLarge(f"rank {n} exceeds cap {cap}")
-    if not 0.0 < target_rel_err < math.inf:
-        raise ValueError("target_rel_err must be positive and finite")
+    rs.check_rank(lv.size - 1)
+    rs.check_positive(target_rel_err, "target_rel_err")
 
     if _min_gap(lv) <= DEFAULT_DEGENERATE_TOL or _min_gap(xv) <= DEFAULT_DEGENERATE_TOL:
-        return _psi_confluent(lv, xv, target_rel_err, cap)
+        return _psi_confluent(lv, xv, target_rel_err)
 
     first, prec = _plan(lv, xv, target_rel_err)
 
@@ -577,7 +554,7 @@ def psi_stable(
         return res.abs_log_error <= target_rel_err + 2.0 * _EPS * (1.0 + abs(res.log_value))
 
     if first == 53:
-        res = psi_alt_sum(lv, xv, 53, cap=cap)
+        res = psi_alt_sum(lv, xv, 53)
         if meets(res):
             return res
 
@@ -591,7 +568,7 @@ def psi_stable(
             pass
 
     while prec <= _MAX_PREC:
-        res = psi_alt_sum(lv, xv, prec, cap=cap)
+        res = psi_alt_sum(lv, xv, prec)
         if meets(res):
             return res
         prec *= 2

@@ -25,6 +25,7 @@ from . import factorization as fz
 from . import heat as ht
 from . import rootsystem as rs
 from . import spherical as sp
+from ._quad import log_positive
 from .errors import RankTooLarge, WeylHeatError
 
 SCHEMA_VERSION = 1
@@ -43,6 +44,8 @@ class AxisSpec:
     points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"axis ends must be finite, got {self.lo!r}:{self.hi!r}")
         if not self.hi > self.lo:
             raise ValueError("axis range must have positive length")
         if self.points < 2:
@@ -50,8 +53,6 @@ class AxisSpec:
 
     def grid(self, log: bool) -> np.ndarray:
         if log:
-            if self.lo <= 0:
-                raise ValueError("log axis needs lo > 0")
             return np.geomspace(self.lo, self.hi, self.points)
         return np.linspace(self.lo, self.hi, self.points)
 
@@ -80,6 +81,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in ("grid", "log_grid", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode != "grid":  # log-spaced grids and log-uniform draws
+            for axis in (self.lam_axis, self.x_axis, self.t_axis):
+                if axis is not None and axis.lo <= 0:
+                    raise ValueError("log axis needs lo > 0")
         if self.mode == "random":
             if self.seed is None:
                 raise ValueError("random mode requires a seed")
@@ -87,19 +92,7 @@ class SweepConfig:
                 raise ValueError("random mode requires samples >= 1")
 
     def to_dict(self) -> dict:
-        d = {
-            "rank": self.rank,
-            "lam_axis": asdict(self.lam_axis),
-            "x_axis": asdict(self.x_axis),
-            "t_axis": asdict(self.t_axis) if self.t_axis else None,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "target_log_err": self.target_log_err,
-            "sandwich_tol": self.sandwich_tol,
-            "delta": self.delta,
-        }
-        return d
+        return asdict(self)
 
 
 def config_from_dict(d: dict) -> SweepConfig:
@@ -474,22 +467,22 @@ def cancellation_stress(n: int, levels=None, seed: int = 0) -> StressReport:
 # property suites
 # ---------------------------------------------------------------------------
 
-def sample_dominant(rng, n: int, count: int, lo: float = 1e-2, hi: float = 10.0,
-                    trace: float = 1.0) -> np.ndarray:
-    """(count, n+1) dominant vectors with log-uniform gaps and random shifts."""
+def sample_dominant(rng, n: int, count: int, lo: float = 1e-2, hi: float = 10.0) -> np.ndarray:
+    """(count, n+1) dominant vectors with log-uniform gaps and standard normal shifts."""
     u = rng.random((count, n))
     gaps = lo * (hi / lo) ** u
     coords = np.zeros((count, n + 1))
     coords[:, :-1] = np.cumsum(gaps[:, ::-1], axis=1)[:, ::-1]
-    coords += trace * rng.standard_normal((count, 1))
+    coords += rng.standard_normal((count, 1))
     return coords
 
 
-def sample_large_regime(rng, n: int, count: int, spread: float = 1.5) -> tuple:
-    """Pairs (lam, x) with alpha(lam) alpha(x) >= log |W| for every positive root."""
+def sample_large_regime(rng, n: int, count: int) -> tuple:
+    """Pairs (lam, x) with alpha(lam) alpha(x) >= log |W| for every positive root;
+    each simple gap is sqrt(log |W|) times e^u, u uniform on [0, 1.5]."""
     floor = math.sqrt(math.log(rs.weyl_order(n)))
-    gl = floor * np.exp(rng.uniform(0.0, spread, size=(count, n)))
-    gx = floor * np.exp(rng.uniform(0.0, spread, size=(count, n)))
+    gl = floor * np.exp(rng.uniform(0.0, 1.5, size=(count, n)))
+    gx = floor * np.exp(rng.uniform(0.0, 1.5, size=(count, n)))
     lam = np.zeros((count, n + 1))
     lam[:, :-1] = np.cumsum(gl[:, ::-1], axis=1)[:, ::-1]
     x = np.zeros((count, n + 1))
@@ -501,9 +494,7 @@ def sample_large_regime(rng, n: int, count: int, spread: float = 1.5) -> tuple:
 
 def batch_log_alt_sum_T(lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """log of sum_w eps(w) e^{<w lam - lam, X>} for row-paired batches."""
-    T = rs.weyl_alt_terms(lams, xs).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(T > 0.0, np.log(np.where(T > 0.0, T, 1.0)), -np.inf)
+    return log_positive(rs.weyl_alt_terms(lams, xs).sum(axis=-1))
 
 
 @dataclass

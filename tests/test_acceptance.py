@@ -353,19 +353,18 @@ def test_c11_pde_residual_second_order():
 
 
 # ---------------------------------------------------------------------------
-# 12. spectral inversion oracle after a single-point calibration
+# 12. spectral inversion oracle with its closed-form front constant
 # ---------------------------------------------------------------------------
 
 def test_c12_fourier_inversion():
     rng = np.random.default_rng(112)
     ctx = ht.make_heat_context(1)
-    const = ht.fourier_constant(ctx)
     worst = 0.0
     for _ in range(10):
         t = rng.uniform(0.3, 1.4)
         x = _gaps_to_coords(rng.uniform(0.3, 1.8, 1)) + rng.normal() * 0.2
         y = _gaps_to_coords(rng.uniform(0.3, 1.8, 1)) + rng.normal() * 0.2
-        a = ht.inverse_fourier_oracle(ctx, t, x, y, const=const)
+        a = ht.inverse_fourier_oracle(ctx, t, x, y)
         b = ht.heat_flat(ctx, t, x, y)
         worst = max(worst, abs(math.expm1(a.log_value - b.log_value)))
     # constant is stable when recalibrated at a doubled reference time

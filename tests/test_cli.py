@@ -8,6 +8,10 @@ from pathlib import Path
 import pytest
 
 from weylheat import cli
+from weylheat import factorization as fz
+from weylheat import heat as ht
+from weylheat import spherical as sp
+from weylheat import verify as vf
 
 
 def run_cli(args, capsys):
@@ -70,6 +74,47 @@ def test_non_finite_time_and_tolerance_are_input_errors(capsys):
         )
         assert code == 2
         assert "target_rel_err" in err
+
+
+def test_tolerances_reference_times_radii_and_axis_ends_are_input_errors(capsys):
+    x, y = [1.2, 0.0], [1.0, -0.3]
+    lam3, x3 = [2.0, 1.0, 0.0], [3.0, 1.0, 0.0]
+    inp = fz.FactorInput.of(lam3, x3)
+    ctx1 = ht.make_heat_context(1)
+    calls = [
+        ("target_rel_err", lambda v: sp.psi_stable(lam3, x3, v)),
+        ("tol", lambda v: sp.psi_iter_quadrature(lam3, x3, v)),
+        ("tol", lambda v: fz.master_integral(inp, v)),
+        ("tol", lambda v: fz.factor_integral(inp, 2, v)),
+        ("tol", lambda v: ht.calibrate_constant(1, tol=v)),
+        ("tol", lambda v: ht.semigroup_check(ctx1, 0.5, 0.5, x, y, tol=v)),
+        ("tol", lambda v: ht.inverse_fourier_oracle(ctx1, 0.7, x, y, tol=v)),
+        ("t_ref", lambda v: ht.calibrate_constant(1, t_ref=v)),
+        ("r", lambda v: ht.ball_volume(x, v)),
+        ("r", lambda v: ht.log_ball_volume(x, v)),
+    ]
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                call(bad)
+    for lo, hi in ((1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="axis ends must be finite"):
+            vf.AxisSpec(lo, hi, 3)
+    for mode in ("log_grid", "random"):  # a log-uniform draw from lo = 0 divided by zero
+        with pytest.raises(ValueError, match="log axis needs lo > 0"):
+            vf.SweepConfig(rank=1, lam_axis=vf.AxisSpec(0.0, 1.0, 2), x_axis=vf.AxisSpec(0.5, 1.0, 2),
+                           mode=mode, samples=3, seed=1)
+    for argv in (
+        ["eval", "--n", "2", "--lambda", "2,1,0", "--x", "3,1,0", "--method", "iter",
+         "--tolerance", "nan"],
+        ["constants", "--n", "1", "--t-ref", "nan"],
+        ["constants", "--n", "1", "--t-ref", "-1"],
+        ["constants", "--n", "3", "--t-ref", "nan"],
+        ["sweep", "--n", "1", "--lam-range", "1:inf:3"],
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert "must be" in err
 
 
 def test_eval_numerical_failure_exit_code(capsys):
@@ -212,6 +257,15 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     # flags override the config file
     code, out, _ = run_cli(["--config", str(cfg), "eval", "--x", "2,0"], capsys)
     assert json.loads(out)["x"] == [2.0, 0.0]
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([1, 2]))
+    code, _, err = run_cli(["--config", str(cfg), "eval", "--n", "1", "--lambda", "1,0", "--x", "1,0"],
+                           capsys)
+    assert code == 2
+    assert "JSON object" in err
 
 
 def test_console_entry_point_subprocess():

@@ -286,13 +286,12 @@ def test_curved_envelope_ratio_finite(ctx1):
 
 def test_fourier_oracle_matches_flat(ctx1):
     rng = np.random.default_rng(3)
-    const = ht.fourier_constant(ctx1)
     for _ in range(10):
         t = rng.uniform(0.3, 1.2)
         x = np.array([rng.uniform(0.5, 1.8), rng.uniform(-0.5, 0.2)])
         x = np.sort(x)[::-1]
         y = np.sort(np.array([rng.uniform(0.4, 1.5), rng.uniform(-0.6, 0.1)]))[::-1]
-        a = ht.inverse_fourier_oracle(ctx1, t, x, y, const=const)
+        a = ht.inverse_fourier_oracle(ctx1, t, x, y)
         b = ht.heat_flat(ctx1, t, x, y)
         assert a.log_value == pytest.approx(b.log_value, abs=1e-6)
 
@@ -305,6 +304,30 @@ def test_fourier_constant_stable_under_t_doubling(ctx1):
     c1 = math.exp(ht.heat_flat(ctx1, t0, x0, y0).log_value) / raw1
     c2 = math.exp(ht.heat_flat(ctx1, 2 * t0, x0, y0).log_value) / raw2
     assert c1 == pytest.approx(c2, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fourier_constant_closed_form_matches_calibration(n):
+    # the calibration the closed form replaced, kept as its oracle: heat_flat
+    # against the raw inversion integral at one reference point
+    ctx = ht.make_heat_context(n)
+    rho = rs.rho(n).array()
+    t0, x0, y0 = 0.5, 0.6 * rho, 0.45 * rho + 0.1
+    pref = math.exp(
+        2.0 * math.log(rs.pi(rho)) - 2.0 * rs.gamma(n) * math.log(2.0)
+        - rs.log_pi(x0) - rs.log_pi(y0)
+    )
+    calibrated = math.exp(ht.heat_flat(ctx, t0, x0, y0).log_value) / (
+        ht._fourier_integral(n, t0, x0, y0, 1e-8) * pref
+    )
+    assert ht.fourier_constant(ctx) == pytest.approx(calibrated, rel=1e-12)
+
+
+def test_fourier_oracle_matches_flat_at_rank_2(ctx2):
+    t, x, y = 0.7, np.array([1.9, 0.4, -0.3]), np.array([1.2, 0.1, -0.4])
+    a = ht.inverse_fourier_oracle(ctx2, t, x, y)
+    b = ht.heat_flat(ctx2, t, x, y)
+    assert a.log_value == pytest.approx(b.log_value, abs=1e-6)
 
 
 def test_fourier_integrand_imaginary_part_cancels():
