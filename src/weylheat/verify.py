@@ -416,7 +416,7 @@ class StressReport:
 
 
 def cancellation_stress(n: int, levels=None, seed: int = 0) -> StressReport:
-    """Compare psi_stable against a 512-bit alternating-sum reference.
+    """Compare psi_stable against a 512-bit reference, the mpmath determinant.
 
     Each level fixes a target pairwise gap product and a pairing magnitude
     <lam, X>; samples jitter the gaps around the target.  Records the worst

@@ -302,3 +302,131 @@ def test_cross_oracle_triangle_rank2():
     c = sp.psi_mc_orbit(lam, x, 300_000, seed=3)
     assert abs(a - b) < 1e-8
     assert abs(a - c.log_value) < 3 * c.mc_std_error + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the mpmath determinant rung against the permutation-sum oracle
+# ---------------------------------------------------------------------------
+
+def perm_sum_log_psi(lv, xv, prec):
+    """Oracle: log psi from the m! signed terms of the Weyl sum, one mpf at a time.
+
+    Returns the mpf value at prec bits (no final float rounding), so a float
+    result can be compared against it exactly.
+    """
+    m = lv.size
+    with mp.workprec(prec):
+        lmp = [mp.mpf(float(v)) for v in lv]
+        xmp = [mp.mpf(float(v)) for v in xv]
+        prods = [[a * b for b in xmp] for a in lmp]  # lam_j x_k
+        base = mp.fsum(prods[j][j] for j in range(m))
+        terms = []
+        for rows, signs in rs.perm_sign_chunks(m):
+            for perm, s in zip(rows.tolist(), signs.tolist()):
+                t = mp.exp(mp.fsum(prods[j][k] for j, k in enumerate(perm)) - base)
+                terms.append(t if s > 0 else -t)
+        T = mp.fsum(terms)
+        assert T > 0
+        # pi(rho) / 2^gamma = prod_{k<m} k!
+        log_pref = (
+            mp.fsum(mp.log(math.factorial(k)) for k in range(1, m))
+            - mp.fsum(mp.log(lmp[i] - lmp[j]) for i in range(m) for j in range(i + 1, m))
+            - mp.fsum(mp.log(xmp[i] - xmp[j]) for i in range(m) for j in range(i + 1, m))
+        )
+        return log_pref + base + mp.log(T)
+
+
+def _from_gaps(gaps, shift):
+    return np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]]) + shift
+
+
+# gap-scale classes: (lam gaps, x gaps, common shift of lam) for rank n
+_GAP_CLASSES = {
+    "moderate": lambda r, n: (10 ** r.uniform(-1, 0.5, n), 10 ** r.uniform(-1, 0.5, n), r.normal()),
+    "cancellation": lambda r, n: (10 ** r.uniform(-6, -3, n), 10 ** r.uniform(-6, -2, n), r.normal()),
+    "wide_scale": lambda r, n: (10 ** r.uniform(-3, 3, n), 10 ** r.uniform(-3, 3, n), 1e3 * r.normal()),
+    "large_regime": lambda r, n: (10 ** r.uniform(0, 1.5, n), 10 ** r.uniform(0, 1.5, n), 10 * r.normal()),
+}
+
+
+def _seeded_cases(seed, ranks, per_class):
+    """(lam, x, target) with targets from 1e-9 to 1e-12, per rank and gap class."""
+    rng = np.random.default_rng(seed)
+    for n in ranks:
+        for make in _GAP_CLASSES.values():
+            for _ in range(per_class):
+                gl, gx, s = make(rng, n)
+                lam, x = _from_gaps(gl, s), _from_gaps(gx, -s * rng.uniform(0, 1))
+                yield lam, x, 10.0 ** -rng.uniform(9, 12)
+
+
+def test_determinant_rung_within_bound_of_permutation_sum():
+    # 504 pairs at ranks 1-6 and 8 at rank 7 (the oracle costs about 1 s there).
+    # Each pair also runs without the planner's 64 guard bits (when that is
+    # still an mpmath precision), where the rounding inside mpmath, not the
+    # final rounding to binary64, sets the error the bound has to cover.
+    cases = list(_seeded_cases(21, range(1, 7), 21)) + list(_seeded_cases(22, [7], 2))
+    assert len(cases) >= 500
+    for lam, x, target in cases:
+        prec = sp._plan(lam, x, target)[1]
+        ref = perm_sum_log_psi(lam, x, prec + 256)
+        for p in (prec, prec - 64):
+            if p <= 53:
+                continue
+            try:
+                res = sp.psi_alt_sum(lam, x, p)
+            except sp.ToleranceUnachievable:
+                assert p < prec  # a nonpositive pivot, only without guard bits
+                continue
+            assert res.method == sp.METHOD_ALT_EXT
+            with mp.workprec(prec + 256):
+                assert abs(mp.mpf(res.log_value) - ref) <= res.abs_log_error, (lam, x, p)
+
+
+def test_determinant_rank8_matches_binary64_sum():
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        lam = _from_gaps(10 ** rng.uniform(-0.3, 0.3, 8), rng.normal())
+        x = _from_gaps(10 ** rng.uniform(-0.3, 0.3, 8), rng.normal())
+        det = sp.psi_alt_sum(lam, x, sp.planned_precision(lam, x))
+        b53 = sp.psi_alt_sum(lam, x, 53)
+        assert abs(det.log_value - b53.log_value) <= det.abs_log_error + b53.abs_log_error
+
+
+def test_ranks_7_and_8_route_to_determinant(monkeypatch):
+    real = rs.perm_sign_chunks
+
+    def no_large_tables(m):
+        if m >= 8:
+            raise AssertionError(f"psi_stable enumerated S_{m}")
+        return real(m)
+
+    monkeypatch.setattr(rs, "perm_sign_chunks", no_large_tables)
+    rng = np.random.default_rng(24)
+    for n in (7, 8):
+        for _ in range(3):
+            lam = _from_gaps(10 ** rng.uniform(-0.5, 0.5, n), rng.normal())
+            x = _from_gaps(10 ** rng.uniform(-0.5, 0.5, n), rng.normal())
+            res = sp.psi_stable(lam, x)
+            prec = sp.planned_precision(lam, x)
+            assert prec > 64
+            assert res == sp.psi_alt_sum(lam, x, prec)
+            assert res.method == sp.METHOD_ALT_EXT
+    for n in range(1, 7):  # generic input keeps the binary64 rung
+        lam = _from_gaps(np.full(n, 1.5), 0.3)
+        x = _from_gaps(np.full(n, 1.2), -0.1)
+        assert sp.planned_precision(lam, x) == 53
+        assert sp.psi_stable(lam, x).method == sp.METHOD_ALT
+
+
+def test_determinant_transpose_symmetry():
+    # psi_lam(X) = psi_X(lam): det K transposes, so both argument orders
+    # agree within the sum of their declared bounds
+    rng = np.random.default_rng(25)
+    for n in range(1, 9):
+        lam = _from_gaps(10 ** rng.uniform(-1, 0.5, n), rng.normal())
+        x = _from_gaps(10 ** rng.uniform(-1, 0.5, n), rng.normal())
+        for p in (128, 512):
+            a = sp.psi_alt_sum(lam, x, p)
+            b = sp.psi_alt_sum(x, lam, p)
+            assert abs(a.log_value - b.log_value) <= a.abs_log_error + b.abs_log_error
