@@ -4,7 +4,8 @@ All integrals in this package are of smooth positive integrands, evaluated in
 the log domain: nodes carry log-weights and sums are taken with a max-shift
 (logsumexp).  Gauss-Legendre rules are cached per order; composite panels
 refine resolution without touching the node generator.  Product rules are laid
-out by tensor_grid, and every quadrature block stays within GRID_VALUES.
+out by tensor_grid, and every such block stays within GRID_VALUES; the chain
+quadrature of spherical sums its product rule link by link instead.
 """
 
 from __future__ import annotations
@@ -25,6 +26,23 @@ def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=None)
+def gl_offsets(order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, panels]: node offsets and log(w/2).
+
+    Panel p holds the offsets p + (x + 1)/2 of the Legendre nodes x.  numpy's
+    table is exactly antisymmetric, so the reversed offsets are panels minus
+    the offsets: offs[::-1] is the distance of each node to the upper end.
+    The arrays are shared and read-only.
+    """
+    xi, wi = leggauss(order)
+    offs = (np.arange(panels)[:, None] + (xi[None, :] + 1.0) / 2.0).ravel()
+    logw = np.tile(np.log(wi / 2.0), panels)
+    offs.flags.writeable = False
+    logw.flags.writeable = False
+    return offs, logw
+
+
 def gl_nodes(a, b, order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/log-weights on [a, b].
 
@@ -32,17 +50,14 @@ def gl_nodes(a, b, order: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]
     have one extra trailing axis of length order*panels.  Requires b > a
     pointwise (log-weights of zero-width intervals would be -inf).
     """
-    xi, wi = leggauss(order)
+    offs, logw_unit = gl_offsets(order, panels)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     a, b = np.broadcast_arrays(a, b)
     width = (b - a) / panels
     # panel p spans [a + p*width, a + (p+1)*width]
-    offs = (np.arange(panels)[:, None] + (xi[None, :] + 1.0) / 2.0) * 1.0
-    nodes = a[..., None, None] + width[..., None, None] * offs
-    logw = np.log(wi / 2.0)[None, :] + np.log(width)[..., None, None]
-    nodes = nodes.reshape(a.shape + (panels * order,))
-    logw = np.broadcast_to(logw, a.shape + (panels, order)).reshape(a.shape + (panels * order,))
+    nodes = a[..., None] + width[..., None] * offs
+    logw = logw_unit + np.log(width)[..., None]
     return nodes, logw
 
 

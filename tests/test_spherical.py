@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from weylheat import rootsystem as rs
 from weylheat import spherical as sp
+from weylheat._quad import GRID_VALUES, gl_nodes, log_ratio_1mexp, logsumexp, tensor_grid
 from weylheat.errors import DegenerateInput, RankTooLarge
 
 
@@ -430,3 +432,257 @@ def test_determinant_transpose_symmetry():
             a = sp.psi_alt_sum(lam, x, p)
             b = sp.psi_alt_sum(x, lam, p)
             assert abs(a.log_value - b.log_value) <= a.abs_log_error + b.abs_log_error
+
+
+# ---------------------------------------------------------------------------
+# the chain quadrature against its tensor-product oracle and a 512-bit reference
+# ---------------------------------------------------------------------------
+
+def tensor_log_G2(lam, X):
+    """Closed form of the innermost chain integral, batched over X[..., (x1, x2)]."""
+    a = lam[0] - lam[1]
+    w = X[..., 0] - X[..., 1]
+    with np.errstate(divide="ignore"):
+        return a * X[..., 0] + np.log(w) + log_ratio_1mexp(a * w)
+
+
+def tensor_log_G_block(lam, X, levels):
+    """One block of the nested recursion on the product grid; X has shape (B, m)."""
+    m = X.shape[-1]
+    lam0 = lam[:-1] - lam[-1]
+    r = m - 1
+    order, panels = levels[0]
+    rules = [gl_nodes(X[..., k + 1], X[..., k], order, panels) for k in range(r)]
+    Y, logw = tensor_grid(*zip(*rules))
+    inner = tensor_log_G(lam0, Y, levels[1:])
+    integrand = inner + lam0[-1] * Y.sum(axis=-1) + logw + math.lgamma(r)
+    return logsumexp(integrand, axis=tuple(range(-r, 0)))
+
+
+def tensor_log_G(lam, X, levels):
+    """Oracle: log G_m(lam; X) by the same Gauss-Legendre rule laid out as the
+    product grid over each interlacing box, in blocks of GRID_VALUES."""
+    m = X.shape[-1]
+    if m == 2:
+        return tensor_log_G2(lam, X)
+    order, panels = levels[0]
+    per_row = (order * panels) ** (m - 1)
+    flat = X.reshape(-1, m)
+    step = max(1, GRID_VALUES // per_row)
+    outs = [tensor_log_G_block(lam, flat[s : s + step], levels)
+            for s in range(0, flat.shape[0], step)]
+    return np.concatenate(outs).reshape(X.shape[:-1])
+
+
+def tensor_log_psi(lv, xv, levels):
+    m = lv.size
+    log_G = float(tensor_log_G(lv, xv[None, :], levels)[0])
+    return math.lgamma(m) + lv[-1] * float(xv.sum()) + log_G - rs._log_pi(xv)
+
+
+def _tied_cases(seed, m, count):
+    """(lam, x) with lam strict, one-tied and two-tied (m = 4), x strict."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        lam = _from_gaps(10 ** rng.uniform(-1, 0.5, m - 1), rng.normal())
+        x = _from_gaps(10 ** rng.uniform(-1, 0.5, m - 1), rng.normal())
+        ties = i % (m - 1)
+        for k in rng.permutation(m - 1)[:ties]:
+            lam[k + 1] = lam[k]  # keep lam sorted: copy down the chain
+        lam = np.sort(lam)[::-1]
+        yield lam, x
+
+
+# The chain sum and the product grid add the same terms in another order, and
+# the chain sum forms node distances from the table offsets where the grid
+# subtracts positions; on these inputs that moves log psi by a few ulps of
+# max(1, |<lam, x>|, |log psi|), not by an error of the rule (8 at most on
+# 1,000 rank-2 and 48 rank-3 evaluations).
+ORACLE_ULPS = 16.0
+
+
+def test_chain_sum_matches_tensor_oracle_on_every_rung():
+    # the product grid costs about 2 s on the top rank-3 rung, so rank 3 runs
+    # one pair each with lam strict, one-tied and two-tied
+    for m, count in ((3, 12), (4, 3)):
+        for lam, x in _tied_cases(30 + m, m, count):
+            for levels in sp._ITER_RUNGS[m]:
+                ref = tensor_log_psi(lam, x, levels)
+                cur, _ = sp._psi_iter_once(lam, x, sp._chain_log_G(lam, x, levels))
+                scale = max(1.0, abs(float(np.dot(lam, x))), abs(ref))
+                assert abs(cur - ref) <= ORACLE_ULPS * sp._EPS * scale, (lam, x, levels, cur - ref)
+
+
+def test_chain_ladder_stops_on_the_oracle_rung(monkeypatch):
+    rungs = []
+    real = sp._chain_log_G
+
+    def counted(lv, xv, levels):
+        rungs.append(levels)
+        return real(lv, xv, levels)
+
+    monkeypatch.setattr(sp, "_chain_log_G", counted)
+    for m in (3, 4):
+        for lam, x in _tied_cases(40 + m, m, 6):
+            for tol in (1e-6, 1e-9, 1e-11):
+                prev, stop = None, None
+                for levels in sp._ITER_RUNGS[m]:
+                    cur = tensor_log_psi(lam, x, levels)
+                    if prev is not None and abs(cur - prev) <= max(tol, 64 * sp._EPS * (1 + abs(cur))):
+                        stop = levels
+                        break
+                    prev = cur
+                rungs.clear()
+                sp.psi_iter_quadrature(lam, x, tol)
+                assert stop is not None and rungs[-1] == stop, (lam, x, tol)
+
+
+def _mp_rule_nodes(lo, hi, level):
+    """Nodes and weights of the rule on [lo, hi] from the binary64 table, exactly."""
+    order, panels = level
+    xi, wi = np.polynomial.legendre.leggauss(order)
+    step = (hi - lo) / panels
+    return [(lo + step * (p + (mp.mpf(a) + 1) / 2), step * mp.mpf(w) / 2)
+            for p in range(panels) for a, w in zip(xi.tolist(), wi.tolist())]
+
+
+def _mp_G2(a, hi, lo):
+    return hi - lo if a == 0 else (mp.exp(a * hi) - mp.exp(a * lo)) / a
+
+
+def mp_rule_log_psi(lv, xv, levels, prec=160):
+    """Oracle: the chain rule of psi_iter_quadrature on one rung in mpmath,
+    split at the shared coordinate like the binary64 sum (the split is exact)."""
+    with mp.workprec(prec):
+        lam = [mp.mpf(float(v)) for v in lv]
+        X = [mp.mpf(float(v)) for v in xv]
+        m = len(lam)
+        mu = [v - lam[-1] for v in lam[:-1]]
+
+        def link(nu, lo, hi, level, upper):
+            c, a = nu[1], nu[0] - nu[1]
+            Q = P = mp.mpf(0)
+            for z, w in _mp_rule_nodes(lo, hi, level):
+                e = w * mp.exp(c * z)
+                Q += e
+                P += e * (_mp_G2(a, z, lo) if upper else _mp_G2(a, hi, z))
+            return Q, P
+
+        if m == 3:
+            (Q0, P0), (Q1, P1) = link(mu, X[1], X[0], levels[0], True), link(mu, X[2], X[1], levels[0], False)
+            G = P0 * Q1 + Q0 * P1
+        else:
+            nu = [v - mu[-1] for v in mu[:-1]]
+            Y = [_mp_rule_nodes(X[k + 1], X[k], levels[0]) for k in range(3)]
+            G = mp.mpf(0)
+            for y1, w1 in Y[1]:
+                up = [(w0 * mp.exp(mu[2] * y0), link(nu, y1, y0, levels[1], True)) for y0, w0 in Y[0]]
+                down = [(w2 * mp.exp(mu[2] * y2), link(nu, y2, y1, levels[1], False)) for y2, w2 in Y[2]]
+                UC, UA = (mp.fsum(e * f[k] for e, f in up) for k in (0, 1))
+                LB, LD = (mp.fsum(e * f[k] for e, f in down) for k in (0, 1))
+                G += w1 * mp.exp(mu[2] * y1) * (UA * LB + UC * LD)
+            G *= 2
+        log_pi = mp.fsum(mp.log(X[i] - X[j]) for i in range(m) for j in range(i + 1, m))
+        return mp.log(math.factorial(m - 1)) + lam[-1] * mp.fsum(X) + mp.log(G) - log_pi
+
+
+def _bound_cases(seed, ranks, count):
+    """Seeded strict and tied pairs: gap scales 1e-2 to 5 about 0, the same
+    shifted by up to 100, and lam and x on unrelated scales."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = ranks[i % len(ranks)]
+        kind = (i // len(ranks)) % 3
+        if kind == 0:
+            sl = sx = 10 ** rng.uniform(-2, math.log10(5))
+            shift = 0.0
+        elif kind == 1:
+            sl = sx = 10 ** rng.uniform(-2, math.log10(5))
+            shift = 10 ** rng.uniform(0, 2)
+        else:
+            sl, sx = 10 ** rng.uniform(-2, 1, 2)
+            shift = rng.uniform(0, 3)
+        lam = _from_gaps(sl * 10 ** rng.uniform(-0.5, 0.5, n), rng.normal() * shift)
+        x = _from_gaps(sx * 10 ** rng.uniform(-0.5, 0.5, n), rng.normal() * shift)
+        yield lam, x
+
+
+def test_chain_rounding_bound_holds_against_the_rule_in_mpmath():
+    # the bound _psi_iter_once returns covers the rounding of the binary64 sum
+    # against the same rule in exact arithmetic, lam strict or tied; rank 3
+    # on its two cheapest rungs (the mpmath rule costs K^2 k exponentials)
+    rng = np.random.default_rng(51)
+    cases = list(_bound_cases(52, (2, 3), 60))
+    for i, (lam, x) in enumerate(cases):
+        m = lam.size
+        if i % 4 == 1:
+            lam[1] = lam[0]
+        rungs = sp._ITER_RUNGS[m] if m == 3 else sp._ITER_RUNGS[m][:2]
+        levels = rungs[rng.integers(len(rungs))]
+        cur, err = sp._psi_iter_once(lam, x, sp._chain_log_G(lam, x, levels))
+        ref = mp_rule_log_psi(lam, x, levels)
+        assert abs(mp.mpf(float(cur)) - ref) <= err, (lam, x, levels)
+
+
+def test_iter_quadrature_error_covers_512_bit_reference():
+    # the declared error (rung difference plus the rounding bound; the closed
+    # form's rounding bound at rank 1) covers the distance to the 512-bit
+    # determinant, for strict pairs at ranks 1-3 and tol 1e-6, 1e-9 and 1e-11
+    checked = 0
+    for i, (lam, x) in enumerate(_bound_cases(53, (1, 2, 3), 900)):
+        tol = (1e-6, 1e-9, 1e-11)[(i // 9) % 3]
+        try:
+            res = sp.psi_iter_quadrature(lam, x, tol)
+        except sp.QuadratureNonconvergence:
+            assert lam.size == 4  # only the rank-3 ladder can run out of rungs
+            continue
+        ref = sp.psi_alt_sum(lam, x, 512)
+        assert abs(res.log_value - ref.log_value) <= res.abs_log_error + ref.abs_log_error, (lam, x, tol)
+        checked += 1
+    assert checked >= 850
+    # rank 1 far from the origin: the terms lam_2 (x_1 + x_2) and a x_1 of the
+    # closed form cancel, which a floor of 8 eps (1 + |log psi|) missed
+    for lam, x in (([1.6, -1.6], [-104.4, -106.7]),
+                   ([1.63499514, -1.56768542], [-104.3833824, -106.65424962])):
+        res = sp.psi_iter_quadrature(lam, x)
+        ref = sp.psi_alt_sum(lam, x, 512)
+        assert abs(res.log_value - ref.log_value) <= res.abs_log_error + ref.abs_log_error
+
+
+def test_chain_rounding_model():
+    # the bound takes numpy's exp, log, log1p and expm1 as faithful (error
+    # below one ulp) and the Legendre table as exactly antisymmetric, so the
+    # reversed offsets are the distances to the upper end
+    rng = np.random.default_rng(54)
+    samples = {
+        np.exp: (mp.exp, np.concatenate([rng.uniform(-700, 700, 500), rng.uniform(-5, 5, 500)])),
+        np.log: (mp.log, 10 ** rng.uniform(-300, 300, 1000)),
+        np.log1p: (mp.log1p, np.concatenate([-10 ** rng.uniform(-300, -0.01, 500), 10 ** rng.uniform(-300, 3, 500)])),
+        np.expm1: (mp.expm1, np.concatenate([-10 ** rng.uniform(-300, 2, 500), 10 ** rng.uniform(-300, 2, 500)])),
+    }
+    with mp.workprec(120):
+        for f, (ref, xs) in samples.items():
+            for a, b in zip(xs.tolist(), f(xs).tolist()):
+                exact = ref(mp.mpf(a))
+                assert abs(mp.mpf(b) - exact) < np.spacing(abs(float(exact))), (f, a)
+    orders = {o for rungs in sp._ITER_RUNGS.values() for levels in rungs for o, _ in levels}
+    for order in orders:
+        xi, _ = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(xi, -xi[::-1])
+
+
+def test_chain_quadrature_top_rung_memory():
+    # the product grid peaked at 207 MiB on this rung; the chain sum holds
+    # K^2 k values per factor
+    lam = np.array([2.0, 1.0, 1.0, 0.0])
+    x = np.array([3.0, 1.7, 0.4, 0.0])
+    top = sp._ITER_RUNGS[4][-1]
+    assert top == ((40, 1), (26, 1))
+    sp._chain_log_G(lam, x, top)  # cached Legendre tables
+    tracemalloc.start()
+    try:
+        sp._chain_log_G(lam, x, top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
