@@ -3,7 +3,7 @@
 
 The alternating sum loses one leading bit per halving of the gap products;
 the stable evaluator watches the loss estimate and escalates from binary64
-through extended floats to arbitrary precision.  The sweep layer then
+to the determinant in arbitrary precision.  The sweep layer then
 certifies the envelope bounds over a grid and emits a deterministic report.
 """
 

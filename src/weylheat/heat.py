@@ -83,9 +83,7 @@ def _log_images_T(xv: np.ndarray, Y: np.ndarray, inv2t: float) -> np.ndarray:
 
 def _log_c_prime(n: int, c_k: float) -> float:
     """log of pi(rho) / (2^{gamma + d/2} c_k), the image-sum front constant."""
-    d = n + 1
-    g = rs.gamma(n)
-    return rs._log_pi(rs.rho(n).array()) - (g + d / 2.0) * math.log(2.0) - math.log(c_k)
+    return math.log(rs._superfactorial(n + 1) / c_k) - (n + 1) / 2.0 * math.log(2.0)
 
 
 def _chamber_log_integral(log_f, m: int, lo: float, hi: float, order: int, panels: int) -> float:
@@ -99,7 +97,7 @@ def _chamber_log_integral(log_f, m: int, lo: float, hi: float, order: int, panel
     ym, lwm = gl_nodes(np.array(lo), np.array(hi), order, panels)
     pieces = []
     inner = (order * panels) ** (m - 1)
-    step = max(1, GRID_VALUES // (inner * math.factorial(m)))
+    step = max(1, GRID_VALUES // (inner * (math.factorial(m) + m - 1)))  # terms and gaps
     for s in range(0, ym.size, step):
         yb = ym[s : s + step]
         lwb = lwm[s : s + step]
@@ -283,29 +281,30 @@ def images_oracle(ctx: HeatContext, t: float, x, y) -> sp.EvalResult:
     """Signed-image evaluation of p_t: a code path independent of psi.
 
     p_t(X,Y) = C' t^{-d/2} sum_w eps(w) e^{-|X - wY|^2/4t} / (pi(X) pi(Y)),
-    C' = pi(rho) / (2^{gamma+d/2} c).  Compensated summation over the images;
-    the identity image dominates for chamber arguments.
+    C' = pi(rho) / (2^{gamma+d/2} c).  As |X - wY|^2 = |X - Y|^2 + 2 <X, Y - wY>,
+    the image sum is e^{-|X-Y|^2/4t} times rs.weyl_alt_sum at scale 1/2t,
+    accurate far from the origin.  The parts are added in one math.fsum; the
+    bound adds to the image sum's (d + 3) u |X-Y|^2/4t for the Gaussian, 3u
+    |(d/2) log t|, u + 2u |log alpha| per root value, u + 3u |log C'| + 2u d
+    log 2 for the constant, and u |log p| for the fsum.
     """
     rs.check_positive(t, "t")
     xv, yv = _points(x, y, ctx)
     if np.min(xv[:-1] - xv[1:]) <= 0.0 or np.min(yv[:-1] - yv[1:]) <= 0.0:
         raise DegenerateInput("images oracle needs strictly dominant x and y")
-    terms = rs.weyl_alt_terms(xv, yv, 1.0 / (2.0 * t))
-    T = math.fsum(terms.tolist())
-    A = math.fsum(np.abs(terms).tolist())
+    T, err = rs.weyl_alt_sum(xv, yv, 1.0 / (2.0 * t))
     if T <= 0.0:
         raise DegenerateInput("image sum lost all significance (arguments too close to a wall)")
+    log_T, err = sp._log_bound(T, err)
     gauss = -float(((xv - yv) ** 2).sum()) / (4.0 * t)
-    log_value = (
-        _log_c_prime(ctx.n, ctx.c_k)
-        - (ctx.d / 2.0) * math.log(t)
-        + gauss
-        + math.log(T)
-        - rs._log_pi(xv)
-        - rs._log_pi(yv)
-    )
-    err = np.finfo(float).eps * ((4.0 + abs(gauss)) * (A / T) + 4.0 * (1.0 + abs(log_value)))
-    return sp.EvalResult(log_value, sp.METHOD_ALT, float(err))
+    power = (ctx.d / 2.0) * math.log(t)
+    const = _log_c_prime(ctx.n, ctx.c_k)
+    logs = np.log(np.concatenate([rs.root_values(xv), rs.root_values(yv)]))
+    log_value = math.fsum([const, -power, gauss, log_T, *(-logs).tolist()])
+    err += rs._U * (
+        (ctx.d + 3.0) * abs(gauss) + 3.0 * abs(power) + 1.0 + 3.0 * abs(const)
+        + 2.0 * ctx.d * math.log(2.0) + logs.size + 2.0 * float(np.abs(logs).sum()) + abs(log_value))
+    return sp.EvalResult(log_value, sp.METHOD_ALT, err)
 
 
 @lru_cache(maxsize=8)
@@ -327,7 +326,7 @@ def _fourier_integral(n: int, t: float, xv: np.ndarray, yv: np.ndarray, tol: flo
     xscale = float(max(np.abs(xv).max(), np.abs(yv).max()))
     nodes, logw = _fourier_grid(n, t, tol, xscale)
     total = 0.0
-    for lam, lw in tensor_blocks([nodes] * m, [logw] * m, terms=math.factorial(m)):
+    for lam, lw in tensor_blocks([nodes] * m, [logw] * m, terms=math.factorial(m) + n):
         sx = sp.unitary_alt_sum(lam, xv)
         sy = sp.unitary_alt_sum(lam, yv)
         total += float((np.exp(lw - t * (lam ** 2).sum(axis=-1)) * (sx * np.conj(sy)).real).sum())

@@ -27,17 +27,18 @@ from .errors import DominanceError, RankTooLarge
 # (n+1)! terms, so n=8 already means 362880 permutations.
 RANK_CAP = 8
 
-# Full permutation tables are cached up to this coordinate count; larger
-# ranks are streamed in chunks so memory stays bounded.
+# Full permutation and deficit tables are cached up to this coordinate count;
+# larger ranks are streamed in blocks no larger, so memory stays bounded.
 _PERM_TABLE_MAX = 7
-_PERM_CHUNK = 40320
+_PERM_CHUNK = math.factorial(_PERM_TABLE_MAX)
+_U = float(np.finfo(float).eps) / 2.0  # unit roundoff
 
 
 def as_coords(p, name: str = "point") -> np.ndarray:
     """Coerce a ChamberPoint or sequence to a float vector, checking dominance."""
     if isinstance(p, ChamberPoint):
-        return np.asarray(p.coords, dtype=float)
-    v = np.asarray(p, dtype=float)
+        return np.asarray(p.coords, float)
+    v = np.asarray(p, float)
     if v.ndim != 1 or v.size < 1:
         raise DominanceError(f"{name} must be a 1-d coordinate vector, got shape {v.shape}")
     # NaN fails every comparison; decreasing coordinates with finite ends are finite
@@ -100,7 +101,7 @@ class ChamberPoint:
         return len(self.coords) - 1
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
+        return np.asarray(self.coords, float)
 
     def gaps(self) -> np.ndarray:
         """Simple-root values alpha_i = c_i - c_{i+1}, all >= 0."""
@@ -132,7 +133,7 @@ class WeylElement:
     sign: int
 
     def apply(self, x) -> np.ndarray:
-        xv = np.asarray(x, dtype=float)
+        xv = np.asarray(x, float)
         out = np.empty_like(xv)
         out[np.asarray(self.perm)] = xv
         return out
@@ -164,17 +165,31 @@ def permutation_sign(perm: Sequence[int]) -> int:
 def _signs_from_rows(perms: np.ndarray) -> np.ndarray:
     """Vectorized parity of permutation rows via inversion counting."""
     m = perms.shape[1]
-    inv = np.zeros(perms.shape[0], dtype=np.int64)
+    inv = np.zeros(perms.shape[0], np.int64)
     for i in range(m):
         for j in range(i + 1, m):
             inv += perms[:, i] > perms[:, j]
     return np.where(inv % 2 == 0, 1.0, -1.0)
 
 
+def _deficit_block(rows: np.ndarray) -> np.ndarray:
+    """Read-only tab[k, j, w] = N_w[k, j] = min(k, j) + 1 - #{i <= k : P[i] <= j}
+    for permutation rows P, so that <a, b - b[P]> = alpha(a)^T N_w alpha(b);
+    N_w >= 0 as at most min(k, j) + 1 of P[0..k] are <= j (P is injective)."""
+    n = rows.shape[1] - 1
+    k = np.arange(n)
+    count = np.cumsum(rows[:, :n, None] <= k, 1, np.int8)  # [w, k, j], small counts
+    tab = (np.minimum.outer(k, k) + 1)[..., None] - count.transpose(1, 2, 0)
+    tab = tab.astype(float, order="C")
+    tab.flags.writeable = False
+    return tab
+
+
 @lru_cache(maxsize=None)
-def _perm_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
-    return perms, _signs_from_rows(perms)
+def _perm_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Permutation rows, their signs and their deficit tables."""
+    perms = np.array(list(itertools.permutations(range(m))), np.int64)
+    return perms, _signs_from_rows(perms), _deficit_block(perms)
 
 
 def perm_sign_chunks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -184,45 +199,70 @@ def perm_sign_chunks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     _PERM_CHUNK rows so memory use does not grow with m!.
     """
     if m <= _PERM_TABLE_MAX:
-        yield _perm_table(m)
+        yield _perm_table(m)[:2]
         return
     it = itertools.permutations(range(m))
     while True:
         block = list(itertools.islice(it, _PERM_CHUNK))
         if not block:
             return
-        rows = np.array(block, dtype=np.int64)
+        rows = np.array(block, np.int64)
         yield rows, _signs_from_rows(rows)
 
 
-def weyl_alt_terms(a, b, scale=1.0, dtype=np.float64) -> np.ndarray:
-    """Terms eps(w) exp(scale (<a, w b> - <a, b>)) of the alternating Weyl sum.
+def _weyl_deficits(a, b) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (D, signs) of the deficits D_w = <a, b - w b> = alpha(a)^T N_w alpha(b)
+    on the axes of weyl_alt_terms.  For dominant a and b every summand is a
+    nonnegative product of gaps, so D_w is off by at most 2m u D_w at any
+    scale (u the unit roundoff; a subtraction per gap, n products and n - 1
+    additions on each side of N_w).  N is contracted with a single side's
+    gaps first, so no array of points times n^2 values is built."""
+    ga, gb = (-np.diff(np.asarray(v, float)) for v in (a, b))
+    n = ga.shape[-1]
+    for rows, signs in perm_sign_chunks(n + 1):
+        tab = _perm_table(n + 1)[2] if n < _PERM_TABLE_MAX else _deficit_block(rows)
+        r = signs.size
+        if ga.ndim == 1:  # C[j, w] = (alpha(a)^T N_w)_j
+            D = gb @ (ga @ tab.reshape(n, n * r)).reshape(n, r)
+        elif gb.ndim == 1:  # H[k, w] = (N_w alpha(b))_k
+            D = ga @ (gb @ tab)
+        else:  # row-paired batches
+            C = (ga @ tab.reshape(n, n * r)).reshape(ga.shape[:-1] + (n, r))
+            D = (gb[..., None, :] @ C)[..., 0, :]
+        yield D, signs
+
+
+def weyl_alt_terms(a, b, scale=1.0) -> np.ndarray:
+    """Terms eps(w) exp(-scale <a, b - w b>) of the alternating Weyl sum.
 
     The m! terms lie on the last axis, in the order of perm_sign_chunks;
     callers do their own reduction.  a and b hold m coordinates on the last
-    axis; either may carry a batch, or both row-paired batches.  A single a
-    against a batch of b is permuted instead of b, which the sum over all of
-    W allows.  dtype is the precision of pairings and exponentials; the
-    shift <a, b> stays the binary64 value callers add back.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1 and b.ndim > 1:
-        a, b = b, a
-    base = np.dot(a, b) if b.ndim == 1 else np.einsum("...j,...j->...", a, b)
-    base = np.asarray(base, dtype=dtype)[..., None]
-    # contiguous: the bits of the products depend on layout
-    a, b = np.ascontiguousarray(a, dtype), np.ascontiguousarray(b, dtype)
+    axis; either may carry a batch, or both row-paired batches.  scale may
+    be complex (the Fourier sum)."""
     chunks = []
-    for rows, signs in perm_sign_chunks(b.shape[-1]):
-        # for a single a, a @ b[rows].T is the same gemv as b[rows] @ a
-        e = a @ b[rows].T if b.ndim == 1 else np.einsum("...j,...pj->...p", a, b[..., rows])
-        e -= base
-        e = e * scale  # in place from here on: batched grids are the peak memory
+    for D, signs in _weyl_deficits(a, b):
+        # in place for a real scale: batched grids are the peak memory
+        e = D * -scale if np.iscomplexobj(scale) else np.multiply(D, -scale, out=D)
         np.exp(e, out=e)
         e *= signs
         chunks.append(e)
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=-1)
+
+
+def weyl_alt_sum(a, b, scale: float = 1.0) -> tuple[float, float]:
+    """(T, bound) for one dominant pair: the math.fsum T of weyl_alt_terms and a
+    first-order bound on its error.  A term t_w is off by u (2m + 2) scale D_w
+    |t_w| from its exponent (2m u from D_w, u from the product with scale, u for
+    a scale rounded once), 2u |t_w| from exp (faithful); fsum adds u |T|."""
+    t_blocks, A, S = [], 0.0, 0.0
+    for D, signs in _weyl_deficits(a, b):
+        D *= scale
+        e = np.exp(-D)
+        A += float(e.sum())
+        S += float(D @ e)
+        t_blocks.append(e * signs)
+    T = math.fsum(itertools.chain.from_iterable(t.tolist() for t in t_blocks))
+    return T, _U * ((2 * np.shape(a)[-1] + 2) * S + 2.0 * A + abs(T))
 
 
 @dataclass(frozen=True)
@@ -277,12 +317,17 @@ def weyl_elements(n: int) -> Iterator[WeylElement]:
 
 def pi(x) -> float:
     """The alternating polynomial prod_{i<j} (x_i - x_j)."""
-    v = np.asarray(x, dtype=float)
+    v = np.asarray(x, float)
     out = 1.0
     for i in range(v.size):
         for j in range(i + 1, v.size):
             out *= v[i] - v[j]
     return float(out)
+
+
+def _superfactorial(m: int) -> int:
+    """prod_{k<m} k!, which equals pi(rho) / 2^gamma for m coordinates."""
+    return math.prod(math.factorial(k) for k in range(1, m))
 
 
 def log_pi(x) -> float:
@@ -303,7 +348,7 @@ def _log_pi(v: np.ndarray) -> float:
 
 def root_values(x) -> np.ndarray:
     """alpha(x) for every positive root, aligned with positive_roots order."""
-    v = np.asarray(x, dtype=float)
+    v = np.asarray(x, float)
     m = v.size
     return np.array([v[i] - v[j] for i in range(m) for j in range(i + 1, m)])
 
@@ -355,14 +400,10 @@ def fundamental_weight(n: int, k: int) -> ChamberPoint:
 def remark_bound_constant(n: int) -> float:
     """Smallest C with c_i(Y, w) <= C max_k alpha_k(Y) for all w and dominant Y.
 
-    The decomposition coefficients are integer combinations of the simple-root
-    values, so C is the largest row sum of those integer matrices; it is found
-    exactly by evaluating decompose_diff on the fundamental weights.
+    The decomposition coefficients are c_k(Y, w) = sum_j N[k, j] alpha_j(Y)
+    with the nonnegative integer deficit tables of _deficit_block (over all
+    of S_m, w and its inverse alike), so C is their largest row sum.
     """
-    weights = [fundamental_weight(n, k) for k in range(1, n + 1)]
-    c_max = 0.0
-    for w in weyl_elements(n):
-        cols = np.stack([decompose_diff(om, w) for om in weights], axis=1)
-        row_sums = cols.sum(axis=1)
-        c_max = max(c_max, float(row_sums.max(initial=0.0)))
-    return c_max
+    check_rank(n)
+    return float(max(_deficit_block(rows).sum(axis=1).max(initial=0.0)
+                     for rows, _signs in perm_sign_chunks(n + 1)))

@@ -50,8 +50,7 @@ DEFAULT_TARGET = 1e-12
 DEFAULT_DELTA = 1.0
 
 _EPS = float(np.finfo(float).eps)
-_LD = np.longdouble
-_HAVE_LD80 = np.finfo(_LD).nmant >= 63
+_U = _EPS / 2.0  # unit roundoff; numpy's and math's exp and log are taken as faithful (2u)
 _MAX_PREC = 8192
 # From this many coordinates on psi_stable skips the m!-term float rungs.  On
 # a 2-core x86-64 VM the binary64 sum costs 0.4 ms at m = 7 and 19 ms at m = 8,
@@ -96,34 +95,25 @@ def _all_equal(v: np.ndarray) -> bool:
 # alternating sum core
 # ---------------------------------------------------------------------------
 
-def _alt_sum_log_T_float(lv: np.ndarray, xv: np.ndarray, dtype=np.float64):
-    """log of T = sum_w eps(w) exp(<w lam - lam, X>) plus an error estimate.
-
-    The identity term is 1 and every other term has a nonnegative deficit in
-    the exponent, so T in (0, |W|].  float64 terms are summed with math.fsum
-    (exact compensation); the extended-float path relies on pairwise
-    summation, which is enough for the magnitudes it is selected for.
-    """
-    base = float(np.dot(lv, xv))
-    t = rs.weyl_alt_terms(lv, xv, dtype=dtype)
-    if dtype is np.float64:
-        T = math.fsum(t.tolist())
-        A = math.fsum(np.abs(t).tolist())
-        eps = _EPS
-    else:
-        acc = t.sum(dtype=dtype)
-        T = float(acc)
-        A = float(np.abs(t).sum(dtype=dtype))
-        eps = float(np.finfo(dtype).eps)
+def _alt_sum_log_T_float(lv: np.ndarray, xv: np.ndarray):
+    """log of T = sum_w eps(w) exp(-<lam - w lam, X>), which lies in (0, |W|]
+    (the identity term is 1, every other deficit is nonnegative), with the
+    bound of rs.weyl_alt_sum carried through the log."""
+    T, err = rs.weyl_alt_sum(lv, xv)
     if T <= 0.0:
         raise ToleranceUnachievable(
             "alternating sum lost all significance at this precision; "
             "use a higher-precision path"
         )
-    spread = base - rs._min_pairing(lv, xv)
-    err = eps * (4.0 + abs(base) + spread) * (A / T)
-    logT = math.log(T) if dtype is np.float64 else float(np.log(acc))
-    return logT, err
+    return _log_bound(T, err)
+
+
+def _log_bound(T: float, err: float) -> tuple[float, float]:
+    """(log T, bound) for T > 0 known within err: -log(1 - err/T), or inf once
+    err reaches T, plus 2u |log T| for the log."""
+    log_T = math.log(T)
+    rel = err / T
+    return log_T, (-math.log1p(-rel) if rel < 1.0 else math.inf) + 2.0 * _U * abs(log_T)
 
 
 def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
@@ -166,10 +156,9 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
         for i in range(m):
             for j in range(i + 1, m):
                 vander *= (lam[i] - lam[j]) * (x[i] - x[j])
-        superfact = math.prod(math.factorial(k) for k in range(1, m))
         pairing = mp.fsum(a * b for a, b in zip(lp, xp))  # <lam', x'>
         shift = mp.fsum(a * b for a, b in zip(lam, x)) - pairing
-        out = float(mp.log(superfact * det / vander) + shift)
+        out = float(mp.log(rs._superfactorial(m) * det / vander) + shift)
         log_T = float(mp.log(det) - pairing)
     base = float(np.dot(lv, xv))
     spread = base - rs._min_pairing(lv, xv)
@@ -181,43 +170,28 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
     return out, err
 
 
-def _psi_log_float(lv: np.ndarray, xv: np.ndarray, dtype) -> tuple[float, float]:
-    """log psi and its error bound from the binary64 or 80-bit alternating sum."""
-    logT, err = _alt_sum_log_T_float(lv, xv, dtype)
-    base = float(np.dot(lv, xv))
-    pref = _log_prefactor(lv, xv)
-    log_value = pref + base + logT
-    return log_value, err + _EPS * (4.0 + 0.75 * (abs(pref) + abs(base) + abs(logT)))
+def _psi_log_float(lv: np.ndarray, xv: np.ndarray) -> tuple[float, float]:
+    """log psi = log prod_{k<m} k! - sum log alpha(lam) - sum log alpha(X)
+    + sum lam_i x_i + log T, added in one math.fsum, and its bound: log T's,
+    2u c for the constant (a faithful log of an exact integer), u + 2u |log
+    alpha| per root value, u |lam_i x_i| per product, and u |log psi| for the
+    fsum, the final rounding every rung pays."""
+    logT, err = _alt_sum_log_T_float(lv, xv)
+    const = math.log(rs._superfactorial(lv.size))
+    logs = np.log(np.concatenate([rs.root_values(lv), rs.root_values(xv)]))
+    prods = lv * xv
+    log_value = math.fsum([const, logT, *prods.tolist(), *(-logs).tolist()])
+    return log_value, err + _U * (2.0 * const + float(np.abs(prods).sum()) + logs.size
+                                  + 2.0 * float(np.abs(logs).sum()) + abs(log_value))
 
 
-def _log_prefactor(lv: np.ndarray, xv: np.ndarray) -> float:
-    """log of pi(rho) / (2^gamma pi(lam) pi(x)) for the alternating-sum formula."""
-    n = lv.size - 1
-    g = rs.gamma(n)
-    return (
-        rs._log_pi(rs.rho(n).array())
-        - g * math.log(2.0)
-        - rs._log_pi(lv)
-        - rs._log_pi(xv)
-    )
-
-
-def cancellation_bits(lam, x) -> tuple[float, float]:
-    """(cancellation bits, exponent scale) for the alternating sum.
-
-    The first component estimates how many leading bits cancel:
-    sum_{i<j} log2(1 + 1/((lam_i - lam_j)(x_i - x_j) + eps)).  The second is
-    |<lam,X>| plus the exponent spread, which bounds how much absolute
-    log-accuracy a fixed-precision float can deliver.
-    """
+def cancellation_bits(lam, x) -> float:
+    """Estimated leading bits the alternating sum cancels, which alone set the
+    precision a rung needs (the gap-product terms are accurate at any scale):
+    sum_{i<j} log2(1 + 1/((lam_i - lam_j)(x_i - x_j) + eps))."""
     lv, xv = rs.as_pair(lam, x)
-    gl = rs.root_values(lv)
-    gx = rs.root_values(xv)
-    prods = gl * gx
-    bits = float(np.sum(np.log2(1.0 + 1.0 / (prods + _EPS))))
-    base = float(np.dot(lv, xv))
-    spread = base - rs._min_pairing(lv, xv)
-    return bits, abs(base) + spread
+    prods = rs.root_values(lv) * rs.root_values(xv)
+    return float(np.sum(np.log2(1.0 + 1.0 / (prods + _EPS))))
 
 
 def psi_alt_sum(lam, x, precision_bits: int = 53) -> EvalResult:
@@ -227,7 +201,9 @@ def psi_alt_sum(lam, x, precision_bits: int = 53) -> EvalResult:
     group; precision_bits > 53 runs the determinant det[e^{lam_i x_j}] in
     mpmath at exactly that many mantissa bits.  Strictly dominant lam and x
     are required (the prefactor divides by pi(lam) pi(x)); nearly coincident
-    coordinates should go through psi_stable, which reroutes them.
+    coordinates should go through psi_stable, which reroutes them.  Both
+    rungs take the pair in one canonical order, so psi_alt_sum(x, lam) is
+    bit for bit psi_alt_sum(lam, x) (psi is symmetric).
     """
     lv, xv = rs.as_pair(lam, x)
     rs.check_rank(lv.size - 1)
@@ -235,8 +211,9 @@ def psi_alt_sum(lam, x, precision_bits: int = 53) -> EvalResult:
         raise DegenerateInput(
             "coordinates coincide within tolerance; use psi_stable or psi_iter_quadrature"
         )
+    lv, xv = sorted((lv, xv), key=np.ndarray.tolist)
     if precision_bits <= 53:
-        log_value, err = _psi_log_float(lv, xv, np.float64)
+        log_value, err = _psi_log_float(lv, xv)
         return EvalResult(log_value, METHOD_ALT, err)
     log_value, err = _psi_log_mp(lv, xv, precision_bits)
     return EvalResult(log_value, METHOD_ALT_EXT, err)
@@ -276,7 +253,6 @@ _ITER_RUNGS = {
 #       most dc u (lam_1 - lam_m): 1 for one difference, 3 for two, 7 for
 #       the difference of two such.
 _CHAIN_ROUNDING = {2: (1.0, 0.0, 0.0, 1.0), 3: (5.0, 1.0, 5.0, 3.0), 4: (10.0, 2.0, 15.0, 7.0)}
-_U = _EPS / 2.0  # unit roundoff; numpy's and math's exp and log are taken as faithful (2u)
 
 
 def _lse(t: np.ndarray, err: np.ndarray, axis: int = -1):
@@ -664,28 +640,22 @@ def _psi_confluent(lv, xv, target):
 
 
 def _plan(lv: np.ndarray, xv: np.ndarray, target_rel_err: float) -> tuple[int, int]:
-    """(bits of the first rung: 53, 64 or the mpmath precision; mpmath starting
-    precision), from the target's bits and the cancellation and scale estimate.
+    """(bits of the first rung: 53 or the mpmath precision; mpmath starting
+    precision), from the target's bits and the cancellation estimate alone.
     From _DET_COORDS coordinates on, the first rung is the mpmath determinant."""
-    bits, scale = cancellation_bits(lv, xv)
-    core = -math.log2(target_rel_err) + max(bits, math.log2(scale + 2.0))
-    needed = core + 2.0
+    core = -math.log2(target_rel_err) + cancellation_bits(lv, xv)
     prec = int(math.ceil(core)) + 64
-    if lv.size >= _DET_COORDS:
-        return prec, prec
-    if needed <= 53.0:
+    if core + 2.0 <= 53.0 and lv.size < _DET_COORDS:
         return 53, prec
-    if _HAVE_LD80 and needed <= 63.0:
-        return 64, prec
     return prec, prec
 
 
 def planned_precision(lam, x, target_rel_err: float = DEFAULT_TARGET) -> int:
     """Mantissa bits of psi_stable's first rung for non-degenerate input.
 
-    53 (binary64 sum) or 64 (80-bit sum) for well-conditioned input of at most
-    seven coordinates; otherwise the precision of the mpmath determinant,
-    which psi_stable uses directly from eight coordinates on (ranks 7 and 8).
+    53 (the binary64 sum) for well-conditioned input of at most seven
+    coordinates; otherwise the precision of the mpmath determinant, which
+    psi_stable uses directly from eight coordinates on (ranks 7 and 8).
     """
     return _plan(*rs.as_pair(lam, x), target_rel_err)[0]
 
@@ -693,14 +663,12 @@ def planned_precision(lam, x, target_rel_err: float = DEFAULT_TARGET) -> int:
 def psi_stable(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
     """Evaluate psi with a guaranteed log-domain error bound.
 
-    Dispatch: at ranks 1-6, well-conditioned inputs take the compensated
-    64-bit alternating sum (bit-identical to psi_alt_sum); inputs whose
-    estimated cancellation or exponent magnitude exceeds what binary64 can
-    deliver escalate to the 80-bit sum when available, then to the mpmath
-    determinant with 64 guard bits.  Ranks 7 and 8 go straight to the
-    determinant, which costs far less than their (n+1)!-term float sums.
-    The determinant's precision doubles until its bound meets the target.
-    Coincident coordinates are rerouted to the confluent paths.
+    Dispatch, from the input and target alone (the same on every platform):
+    at ranks 1-6, input whose estimated cancellation leaves binary64 enough
+    bits takes the compensated binary64 sum; the rest, and any whose binary64
+    bound misses, take the mpmath determinant with 64 guard bits, as ranks 7
+    and 8 always do.  The determinant's precision doubles until its bound
+    meets the target.  Coincident coordinates go to the confluent paths.
     """
     lv, xv = rs.as_pair(lam, x)
     rs.check_rank(lv.size - 1)
@@ -720,15 +688,6 @@ def psi_stable(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
         res = psi_alt_sum(lv, xv, 53)
         if meets(res):
             return res
-
-    if _HAVE_LD80 and first <= 64:  # also when binary64 missed: the estimate was optimistic
-        try:
-            log_value, err = _psi_log_float(lv, xv, _LD)
-            res = EvalResult(log_value, METHOD_ALT_EXT, err)
-            if meets(res):
-                return res
-        except ToleranceUnachievable:
-            pass
 
     while prec <= _MAX_PREC:
         res = psi_alt_sum(lv, xv, prec)

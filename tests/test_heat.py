@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -172,6 +174,38 @@ def test_images_signed_sum_is_alternating():
     assert base > 0.0
     swapped = signed_sum(xv, yv[[0, 2, 1]], t)
     assert swapped == pytest.approx(-base, rel=1e-12)
+
+
+def signed_image_log_sum(ctx, t, xv, yv, prec=320):
+    """Oracle: log p_t from the signed image sum in mpmath, one image at a time."""
+    m = xv.size
+    with mp.workprec(prec):
+        x = [mp.mpf(float(v)) for v in xv]
+        y = [mp.mpf(float(v)) for v in yv]
+        tt = mp.mpf(t)
+        total = mp.fsum(
+            rs.permutation_sign(p) * mp.exp(-mp.fsum((x[j] - y[p[j]]) ** 2 for j in range(m)) / (4 * tt))
+            for p in itertools.permutations(range(m)))
+        rho = [mp.mpf(float(v)) for v in rs.rho(ctx.n).array()]
+        pi = lambda v: mp.fprod(v[i] - v[j] for i in range(m) for j in range(i + 1, m))
+        c_prime = pi(rho) / (2 ** (ctx.gamma + mp.mpf(ctx.d) / 2) * mp.mpf(ctx.c_k))
+        return mp.log(c_prime) - mp.mpf(ctx.d) / 2 * mp.log(tt) + mp.log(total) - mp.log(pi(x) * pi(y))
+
+
+def test_images_oracle_honest_far_from_origin(ctx1, ctx2, ctx3):
+    # shifting x and y together leaves p_t unchanged; the image exponents must
+    # not lose accuracy to the size of the coordinates
+    base = {1: ([2.0, 0.0], [2.5, 0.1]), 2: ([2.0, 1.0, 0.0], [2.5, 1.2, 0.1]),
+            3: ([2.0, 1.0, 0.0, -0.7], [2.5, 1.2, 0.1, -0.4])}
+    for ctx in (ctx1, ctx2, ctx3):
+        x0, y0 = base[ctx.n]
+        for shift in (0.0, 1e3, 1e5, 1e7):
+            x, y = np.array(x0) + shift, np.array(y0) + shift
+            res = ht.images_oracle(ctx, 1.0, x, y)
+            ref = signed_image_log_sum(ctx, 1.0, x, y)
+            with mp.workprec(320):
+                gap = abs(mp.mpf(res.log_value) - ref)
+                assert gap <= res.abs_log_error + mp.mpf(2) ** -300 * (1 + abs(ref)), (ctx.n, shift)
 
 
 def test_images_long_time_vanishes(ctx1):

@@ -116,6 +116,54 @@ def test_weyl_alt_terms_match_bruteforce_sum():
         assert rs.weyl_alt_terms(a, b).shape == (math.factorial(m),)
 
 
+def direct_deficits(rows):
+    """Oracle from the definition, laid out [w, k, j]: N_w[k, j] is the k-th
+    simple-root coefficient sum_{i<=k} (b - b[P])_i of b = omega_j, the vector
+    with alpha(omega_j) = e_j."""
+    m = rows.shape[1]
+    omega = (np.arange(m)[:, None] <= np.arange(m - 1)).astype(float)  # [i, j]
+    return np.cumsum(omega[None] - omega[rows], axis=1)[:, :-1, :]
+
+
+def test_deficit_table_is_nonnegative_integer_and_gives_the_pairing():
+    rng = np.random.default_rng(41)
+    for m in range(2, 8):
+        rows, _signs, tab = rs._perm_table(m)
+        assert tab.min() >= 0.0 and np.array_equal(tab, np.round(tab))
+        assert np.array_equal(tab, direct_deficits(rows).transpose(1, 2, 0))
+        a = np.sort(rng.uniform(-3.0, 3.0, m))[::-1]
+        b = np.sort(rng.uniform(-3.0, 3.0, m))[::-1]
+        (D, _), = rs._weyl_deficits(a, b)
+        want = float(a @ b) - b[rows] @ a  # <a, b - b[P]>
+        assert np.allclose(D, want, rtol=0.0, atol=1e-13)
+        assert D.min() >= 0.0
+
+
+def test_streamed_deficit_blocks_match_direct_construction():
+    for m in (8, 9):
+        count = 0
+        for rows, _signs in rs.perm_sign_chunks(m):
+            assert rows.shape[0] <= math.factorial(7)
+            assert np.array_equal(rs._deficit_block(rows), direct_deficits(rows).transpose(1, 2, 0))
+            count += rows.shape[0]
+        assert count == math.factorial(m)
+
+
+def remark_bound_by_decomposition(n):
+    """Oracle: the largest row sum of decompose_diff over the fundamental weights."""
+    weights = [rs.fundamental_weight(n, k) for k in range(1, n + 1)]
+    c_max = 0.0
+    for w in rs.weyl_elements(n):
+        cols = np.stack([rs.decompose_diff(om, w) for om in weights], axis=1)
+        c_max = max(c_max, float(cols.sum(axis=1).max(initial=0.0)))
+    return c_max
+
+
+def test_remark_bound_constant_matches_decomposition_loop():
+    for n in range(1, 7):
+        assert rs.remark_bound_constant(n) == remark_bound_by_decomposition(n)
+
+
 def test_non_finite_coordinates_rejected():
     for bad in ([math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0], [0.0, -math.inf],
                 [math.inf, math.inf], [math.nan]):

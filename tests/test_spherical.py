@@ -47,6 +47,18 @@ def test_alt_sum_symmetry():
         assert abs(a - b) < 1e-10
 
 
+def test_psi_is_symmetric_bit_for_bit_on_both_rungs():
+    # psi_lam(X) = psi_X(lam); both rungs evaluate one canonical order
+    rng = np.random.default_rng(7)
+    for n in range(1, 8):
+        for shift in (0.0, 30.0):
+            lam = _from_gaps(10 ** rng.uniform(-1, 0.5, n), shift * rng.normal())
+            x = _from_gaps(10 ** rng.uniform(-1, 0.5, n), rng.normal())
+            for bits in (53, sp._plan(lam, x, 1e-12)[1]):
+                assert sp.psi_alt_sum(lam, x, bits) == sp.psi_alt_sum(x, lam, bits)
+            assert sp.psi_stable(lam, x) == sp.psi_stable(x, lam)
+
+
 def test_alt_sum_rejects_degenerate_and_large_rank():
     with pytest.raises(DegenerateInput):
         sp.psi_alt_sum([1.0, 1.0], [2.0, 0.0])
@@ -383,6 +395,39 @@ def test_determinant_rung_within_bound_of_permutation_sum():
             assert res.method == sp.METHOD_ALT_EXT
             with mp.workprec(prec + 256):
                 assert abs(mp.mpf(res.log_value) - ref) <= res.abs_log_error, (lam, x, p)
+
+
+def test_float_rung_and_dispatcher_within_bound_of_determinant():
+    # 280 seeded pairs at ranks 1-7 (coordinates shifted by up to 1e3, heavy
+    # cancellation, heat-type pairs (x, y/2t) with t from 1e-10 to 1e4), each
+    # through the binary64 sum and psi_stable at targets 1e-9 and 1e-12,
+    # against the 512-bit determinant
+    rng = np.random.default_rng(26)
+    checked = 0
+    for n in range(1, 8):
+        for case in range(40):
+            kind = case % 3
+            if kind == 0:
+                lam = _from_gaps(10 ** rng.uniform(-1, 0.7, n), rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 3))
+                x = _from_gaps(10 ** rng.uniform(-1, 0.7, n), rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 3))
+            elif kind == 1:
+                lam = _from_gaps(10 ** rng.uniform(-4, 0, n), rng.uniform(-1e3, 1e3))
+                x = _from_gaps(10 ** rng.uniform(-4, 0, n), rng.uniform(-10, 10))
+            else:
+                t = 10 ** rng.uniform(-10, 4)
+                lam = _from_gaps(10 ** rng.uniform(-1, 0.5, n), rng.normal())
+                x = _from_gaps(10 ** rng.uniform(-1, 0.5, n), rng.normal()) / (2.0 * t)
+            ref = sp.psi_alt_sum(lam, x, 512)
+            try:
+                results = [sp.psi_alt_sum(lam, x, 53)]
+            except sp.ToleranceUnachievable:  # the binary64 sum came out nonpositive
+                results = []
+            results += [sp.psi_stable(lam, x, target) for target in (1e-9, 1e-12)]
+            for res in results:
+                gap = abs(res.log_value - ref.log_value)
+                assert gap <= res.abs_log_error + ref.abs_log_error, (lam, x, res)
+                checked += 1
+    assert checked >= 560 + 200  # every psi_stable result, and most binary64 sums
 
 
 def test_determinant_rank8_matches_binary64_sum():
