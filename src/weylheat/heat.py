@@ -224,13 +224,17 @@ def heat_envelope(t: float, x, y) -> float:
     """log of t^{-d/2} exp(-|X-Y|^2/4t) / prod_{i<j} (t + (x_i-x_j)(y_i-y_j))."""
     rs.check_positive(t, "t")
     xv, yv = _points(x, y)
-    d = xv.size
+    return float(_envelope_rows(np.array([t]), xv[None], yv[None])[0])
+
+
+def _envelope_rows(t: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """heat_envelope on rows: t of shape (k,) positive, checked xv and yv of
+    shape (k, d).  log t is math.log's, as in heat_flat."""
+    log_t = np.array([math.log(s) for s in t.tolist()])
     prods = rs.root_values(xv) * rs.root_values(yv)
-    return float(
-        -(d / 2.0) * math.log(t)
-        - float(((xv - yv) ** 2).sum()) / (4.0 * t)
-        - np.sum(np.log(t + prods))
-    )
+    return (-(xv.shape[-1] / 2.0) * log_t
+            - ((xv - yv) ** 2).sum(axis=-1) / (4.0 * t)
+            - np.sum(np.log(t[:, None] + prods), axis=-1))
 
 
 def _log_curved_prefactor(t: float, xv: np.ndarray, yv: np.ndarray, n: int) -> float:

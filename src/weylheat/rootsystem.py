@@ -217,7 +217,7 @@ def _weyl_deficits(a, b) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     scale (u the unit roundoff; a subtraction per gap, n products and n - 1
     additions on each side of N_w).  N is contracted with a single side's
     gaps first, so no array of points times n^2 values is built."""
-    ga, gb = (-np.diff(np.asarray(v, float)) for v in (a, b))
+    ga, gb = (v[..., :-1] - v[..., 1:] for v in (np.asarray(a, float), np.asarray(b, float)))
     n = ga.shape[-1]
     for rows, signs in perm_sign_chunks(n + 1):
         tab = _perm_table(n + 1)[2] if n < _PERM_TABLE_MAX else _deficit_block(rows)
@@ -346,11 +346,21 @@ def _log_pi(v: np.ndarray) -> float:
     return total
 
 
+@lru_cache(maxsize=None)
+def _root_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of the positive roots in positive_roots order."""
+    pairs = np.triu_indices(m, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def root_values(x) -> np.ndarray:
-    """alpha(x) for every positive root, aligned with positive_roots order."""
+    """alpha(x) for every positive root, aligned with positive_roots order, on
+    the last axis (x may carry a batch of coordinate rows)."""
     v = np.asarray(x, float)
-    m = v.size
-    return np.array([v[i] - v[j] for i in range(m) for j in range(i + 1, m)])
+    i, j = _root_pairs(v.shape[-1])
+    return v.take(i, axis=-1) - v.take(j, axis=-1)
 
 
 def decompose_diff(y, w: WeylElement) -> np.ndarray:
@@ -382,11 +392,18 @@ def min_weyl_pairing(lam, x) -> tuple[WeylElement, float]:
 
 def min_pairing_value(lam, x) -> float:
     """min_w <w lam, X> for dominant lam, x: the order-reversing pairing."""
-    return _min_pairing(*as_pair(lam, x))
+    return float(_min_pairing(*as_pair(lam, x)))
 
 
-def _min_pairing(lv: np.ndarray, xv: np.ndarray) -> float:
-    return float(np.dot(lv[::-1], xv))
+def _min_pairing(lv: np.ndarray, xv: np.ndarray) -> np.ndarray:
+    """min_pairing_value of checked pairs on the last axis (rows allowed)."""
+    return _pairing(np.ascontiguousarray(lv[..., ::-1]), xv)
+
+
+def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> on the last axis, row by row, as a stacked matmul: on contiguous
+    rows it rounds as np.dot does, which has no row-wise form."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def fundamental_weight(n: int, k: int) -> ChamberPoint:

@@ -161,7 +161,7 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
         out = float(mp.log(rs._superfactorial(m) * det / vander) + shift)
         log_T = float(mp.log(det) - pairing)
     base = float(np.dot(lv, xv))
-    spread = base - rs._min_pairing(lv, xv)
+    spread = base - float(rs._min_pairing(lv, xv))
     scale = 4.0 + abs(base) + spread + float((lv[0] - lv[-1]) * (xv[0] - xv[-1]))
     log_err = (math.log(m * m * scale) + (2 - prec) * math.log(2.0)
                + math.lgamma(m + 1) - log_T)
@@ -170,15 +170,16 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
     return out, err
 
 
-def _psi_log_float(lv: np.ndarray, xv: np.ndarray) -> tuple[float, float]:
+def _psi_log_float(lv: np.ndarray, xv: np.ndarray, roots: np.ndarray) -> tuple[float, float]:
     """log psi = log prod_{k<m} k! - sum log alpha(lam) - sum log alpha(X)
     + sum lam_i x_i + log T, added in one math.fsum, and its bound: log T's,
     2u c for the constant (a faithful log of an exact integer), u + 2u |log
     alpha| per root value, u |lam_i x_i| per product, and u |log psi| for the
-    fsum, the final rounding every rung pays."""
+    fsum, the final rounding every rung pays.  roots holds alpha(lam), then
+    alpha(X)."""
     logT, err = _alt_sum_log_T_float(lv, xv)
     const = math.log(rs._superfactorial(lv.size))
-    logs = np.log(np.concatenate([rs.root_values(lv), rs.root_values(xv)]))
+    logs = np.log(roots)
     prods = lv * xv
     log_value = math.fsum([const, logT, *prods.tolist(), *(-logs).tolist()])
     return log_value, err + _U * (2.0 * const + float(np.abs(prods).sum()) + logs.size
@@ -190,7 +191,11 @@ def cancellation_bits(lam, x) -> float:
     precision a rung needs (the gap-product terms are accurate at any scale):
     sum_{i<j} log2(1 + 1/((lam_i - lam_j)(x_i - x_j) + eps))."""
     lv, xv = rs.as_pair(lam, x)
-    prods = rs.root_values(lv) * rs.root_values(xv)
+    return _cancellation_bits(rs.root_values(lv) * rs.root_values(xv))
+
+
+def _cancellation_bits(prods: np.ndarray) -> float:
+    """cancellation_bits from the root-value products alpha(lam) alpha(X)."""
     return float(np.sum(np.log2(1.0 + 1.0 / (prods + _EPS))))
 
 
@@ -207,13 +212,16 @@ def psi_alt_sum(lam, x, precision_bits: int = 53) -> EvalResult:
     """
     lv, xv = rs.as_pair(lam, x)
     rs.check_rank(lv.size - 1)
-    if _min_gap(lv) <= DEFAULT_DEGENERATE_TOL or _min_gap(xv) <= DEFAULT_DEGENERATE_TOL:
+    al, ax = rs.root_values(lv), rs.root_values(xv)
+    # rounding is monotone, so the least root value is the least simple gap
+    if min(al.min(), ax.min()) <= DEFAULT_DEGENERATE_TOL:
         raise DegenerateInput(
             "coordinates coincide within tolerance; use psi_stable or psi_iter_quadrature"
         )
-    lv, xv = sorted((lv, xv), key=np.ndarray.tolist)
+    if xv.tolist() < lv.tolist():  # the canonical order of the pair
+        lv, xv, al, ax = xv, lv, ax, al
     if precision_bits <= 53:
-        log_value, err = _psi_log_float(lv, xv)
+        log_value, err = _psi_log_float(lv, xv, np.concatenate([al, ax]))
         return EvalResult(log_value, METHOD_ALT, err)
     log_value, err = _psi_log_mp(lv, xv, precision_bits)
     return EvalResult(log_value, METHOD_ALT_EXT, err)
@@ -515,9 +523,14 @@ def psi_mc_orbit(lam, x, samples: int, seed: int) -> EvalResult:
 
 def psi_envelope(lam, x) -> float:
     """log of exp(<lam, X>) / prod_{i<j} (1 + (lam_i - lam_j)(x_i - x_j))."""
-    lv, xv = rs.as_pair(lam, x)
+    return float(_envelope_rows(*rs.as_pair(lam, x)))
+
+
+def _envelope_rows(lv: np.ndarray, xv: np.ndarray) -> np.ndarray:
+    """psi_envelope of checked pairs on the last axis; lv and xv may hold
+    row-paired batches."""
     prods = rs.root_values(lv) * rs.root_values(xv)
-    return float(np.dot(lv, xv) - np.sum(np.log1p(prods)))
+    return rs._pairing(lv, xv) - np.sum(np.log1p(prods), axis=-1)
 
 
 def phi_curved(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
@@ -551,16 +564,18 @@ def regime_classify(lam, x, delta: float = DEFAULT_DELTA) -> RegimeLabel:
     sum is provably below e^{<lam,X>}/|W| in this normalization, where
     |alpha|^2 = 2).  small wins if both conditions hold.
     """
-    lv, xv = rs.as_pair(lam, x)
-    n = lv.size - 1
-    gl = lv[:-1] - lv[1:]
-    gx = xv[:-1] - xv[1:]
-    if float(np.max(np.outer(gl, gx))) <= delta:
-        return RegimeLabel(REGIME_SMALL, delta)
+    return RegimeLabel(str(_regime_rows(*rs.as_pair(lam, x), delta)), delta)
+
+
+def _regime_rows(lv: np.ndarray, xv: np.ndarray, delta: float) -> np.ndarray:
+    """regime_classify's labels for checked pairs on the last axis; lv and xv
+    may hold row-paired batches."""
+    gl = lv[..., :-1] - lv[..., 1:]
+    gx = xv[..., :-1] - xv[..., 1:]
+    small = np.max(gl[..., :, None] * gx[..., None, :], axis=(-2, -1)) <= delta
     prods = rs.root_values(lv) * rs.root_values(xv)
-    if float(np.min(prods)) >= math.log(rs.weyl_order(n)):
-        return RegimeLabel(REGIME_LARGE, delta)
-    return RegimeLabel(REGIME_MIXED, delta)
+    large = np.min(prods, axis=-1) >= math.log(rs.weyl_order(lv.shape[-1] - 1))
+    return np.where(small, REGIME_SMALL, np.where(large, REGIME_LARGE, REGIME_MIXED))
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +658,14 @@ def _plan(lv: np.ndarray, xv: np.ndarray, target_rel_err: float) -> tuple[int, i
     """(bits of the first rung: 53 or the mpmath precision; mpmath starting
     precision), from the target's bits and the cancellation estimate alone.
     From _DET_COORDS coordinates on, the first rung is the mpmath determinant."""
-    core = -math.log2(target_rel_err) + cancellation_bits(lv, xv)
+    return _plan_bits(cancellation_bits(lv, xv), lv.size, target_rel_err)
+
+
+def _plan_bits(bits: float, m: int, target_rel_err: float) -> tuple[int, int]:
+    """_plan for m coordinates whose cancellation estimate is bits."""
+    core = -math.log2(target_rel_err) + bits
     prec = int(math.ceil(core)) + 64
-    if core + 2.0 <= 53.0 and lv.size < _DET_COORDS:
+    if core + 2.0 <= 53.0 and m < _DET_COORDS:
         return 53, prec
     return prec, prec
 
@@ -669,15 +689,21 @@ def psi_stable(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
     bound misses, take the mpmath determinant with 64 guard bits, as ranks 7
     and 8 always do.  The determinant's precision doubles until its bound
     meets the target.  Coincident coordinates go to the confluent paths.
+
+    The pair is checked, and its root values alpha(lam), alpha(X) formed,
+    once for the degenerate test and the plan.  Each rung attempt is one call
+    of the public psi_alt_sum at the rung's precision, the calls from which
+    tracing reads the rung.
     """
     lv, xv = rs.as_pair(lam, x)
     rs.check_rank(lv.size - 1)
     rs.check_positive(target_rel_err, "target_rel_err")
-
-    if _min_gap(lv) <= DEFAULT_DEGENERATE_TOL or _min_gap(xv) <= DEFAULT_DEGENERATE_TOL:
+    al, ax = rs.root_values(lv), rs.root_values(xv)
+    # rounding is monotone, so the least root value is the least simple gap
+    if min(al.min(), ax.min()) <= DEFAULT_DEGENERATE_TOL:
         return _psi_confluent(lv, xv, target_rel_err)
 
-    first, prec = _plan(lv, xv, target_rel_err)
+    first, prec = _plan_bits(_cancellation_bits(al * ax), lv.size, target_rel_err)
 
     def meets(res: EvalResult) -> bool:
         # a binary64 result cannot beat the ulp of its own log value; that

@@ -85,6 +85,8 @@ class SweepConfig:
             for axis in (self.lam_axis, self.x_axis, self.t_axis):
                 if axis is not None and axis.lo <= 0:
                     raise ValueError("log axis needs lo > 0")
+        if self.t_axis is not None and self.t_axis.lo <= 0:
+            raise ValueError("t axis needs lo > 0")
         if self.mode == "random":
             if self.seed is None:
                 raise ValueError("random mode requires a seed")
@@ -185,70 +187,78 @@ def _aggregate(records) -> dict:
 # sample generation (gap space, deterministic order)
 # ---------------------------------------------------------------------------
 
+# Most samples a sweep block holds.  A block's coordinates and side values
+# (envelope, regime label, sandwich bounds) are formed row-wise in numpy; the
+# kernel then runs once per record.
+_SWEEP_BLOCK = 4096
+
+
 def _coords_from_gaps(gaps: np.ndarray) -> np.ndarray:
-    """Dominant vector with the given simple gaps and last coordinate 0."""
-    out = np.zeros(gaps.size + 1)
-    out[:-1] = np.cumsum(gaps[::-1])[::-1]
+    """Dominant vectors with the given simple gaps on the last axis and last
+    coordinate 0."""
+    out = np.zeros(gaps.shape[:-1] + (gaps.shape[-1] + 1,))
+    out[..., :-1] = np.cumsum(gaps[..., ::-1], axis=-1)[..., ::-1]
     return out
 
 
-def _iter_samples(config: SweepConfig, with_t: bool):
-    """Yield (index, lam_gaps, x_gaps, t or None) in a fixed deterministic order."""
+def _sample_blocks(config: SweepConfig, with_t: bool, threads: int):
+    """Yield (first index, lam gap rows, x gap rows, t values or None) in a
+    fixed deterministic order, at most _SWEEP_BLOCK samples a block (fewer
+    with threads > 1, so that each worker gets several blocks).
+
+    Grid modes run through the product of the axes, the last axis fastest;
+    random mode draws each sample's lam gaps, x gaps and t in turn,
+    log-uniformly.  The samples do not depend on the block size.
+    """
     n = config.rank
-    if config.mode in ("grid", "log_grid"):
-        log = config.mode == "log_grid"
-        gl = config.lam_axis.grid(log)
-        gx = config.x_axis.grid(log)
-        axes = [gl] * n + [gx] * n
-        if with_t:
-            if config.t_axis is None:
-                raise ValueError("heat sweep requires t_axis")
-            axes.append(config.t_axis.grid(log))
-        for idx, combo in enumerate(itertools.product(*axes)):
-            lam_g = np.array(combo[:n])
-            x_g = np.array(combo[n : 2 * n])
-            t = float(combo[-1]) if with_t else None
-            yield idx, lam_g, x_g, t
-    else:
+    if with_t and config.t_axis is None:
+        raise ValueError("heat sweep requires t_axis")
+    specs = [config.lam_axis] * n + [config.x_axis] * n + ([config.t_axis] if with_t else [])
+    if config.mode == "random":
+        total = config.samples
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
-
-        def draw(axis: AxisSpec, k: int) -> np.ndarray:
-            u = rng.random(k)
-            return axis.lo * (axis.hi / axis.lo) ** u  # log-uniform
-
-        for idx in range(config.samples):
-            lam_g = draw(config.lam_axis, n)
-            x_g = draw(config.x_axis, n)
-            t = float(draw(config.t_axis, 1)[0]) if with_t else None
-            yield idx, lam_g, x_g, t
+        lo = np.array([a.lo for a in specs])
+        ratio = np.array([a.hi / a.lo for a in specs])
+    else:
+        axes = [a.grid(config.mode == "log_grid") for a in specs]
+        shape = tuple(a.size for a in axes)
+        total = math.prod(shape)
+    size = _SWEEP_BLOCK if threads <= 1 else max(1, min(_SWEEP_BLOCK, -(-total // (4 * threads))))
+    for start in range(0, total, size):
+        k = min(size, total - start)
+        if config.mode == "random":
+            cols = lo * ratio ** rng.random((k, len(specs)))
+        else:
+            idx = np.unravel_index(np.arange(start, start + k), shape)
+            cols = np.stack([a[i] for a, i in zip(axes, idx)], axis=-1)
+        yield start, cols[:, :n], cols[:, n:2 * n], cols[:, 2 * n] if with_t else None
 
 
 # ---------------------------------------------------------------------------
 # sweep records and reports
 # ---------------------------------------------------------------------------
 
-def _sample_record(idx, lam, x, t, evaluate):
-    """(record, violation) of one sweep sample; evaluate() gives (result,
-    envelope, regime, violation), and a WeylHeatError becomes an error record."""
-    try:
-        res, env, reg, violation = evaluate()
-    except WeylHeatError as exc:
-        rec = RatioRecord(
-            index=idx, lam=tuple(lam), x=tuple(x), t=t,
-            log_value=math.nan, log_envelope=math.nan, log_ratio=math.nan,
-            ratio=math.nan, regime="", method="", abs_log_error=math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return rec, {"index": idx, "kind": "eval_error", "error": str(exc)}
+def _sample_record(idx, lam, x, t, res, env, reg) -> RatioRecord:
+    """The record of a sample whose kernel call returned res."""
     log_ratio = res.log_value - env
     confluent = res.method in (sp.METHOD_ITER, sp.METHOD_CLOSED)
-    rec = RatioRecord(
+    return RatioRecord(
         index=idx, lam=tuple(lam), x=tuple(x), t=t,
         log_value=res.log_value, log_envelope=env, log_ratio=log_ratio,
         ratio=math.exp(log_ratio), regime=reg, method=res.method,
         abs_log_error=res.abs_log_error, flags=("confluent_path",) if confluent else (),
     )
-    return rec, violation
+
+
+def _error_record(idx, lam, x, t, exc: WeylHeatError):
+    """(record, violation) of a sample whose kernel call raised exc."""
+    rec = RatioRecord(
+        index=idx, lam=tuple(lam), x=tuple(x), t=t,
+        log_value=math.nan, log_envelope=math.nan, log_ratio=math.nan,
+        ratio=math.nan, regime="", method="", abs_log_error=math.nan,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+    return rec, {"index": idx, "kind": "eval_error", "error": str(exc)}
 
 
 def _sweep_report(kind: str, config: SweepConfig, fn, tasks, threads: int) -> RatioReport:
@@ -265,21 +275,39 @@ def _sweep_report(kind: str, config: SweepConfig, fn, tasks, threads: int) -> Ra
     )
 
 
+def _run_tasks(fn, tasks, threads: int) -> list:
+    """fn's (record, violation) pairs over the blocks, in sample order; with
+    threads > 1 the blocks are mapped over a process pool."""
+    if threads <= 1:
+        return [r for task in tasks for r in fn(task)]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return [r for block in pool.map(fn, tasks) for r in block]
+
+
 # ---------------------------------------------------------------------------
 # psi ratio sweep
 # ---------------------------------------------------------------------------
 
-def _eval_psi_sample(args):
-    idx, lam_g, x_g, target, sandwich_tol, delta = args
-    lam = _coords_from_gaps(np.asarray(lam_g))
-    x = _coords_from_gaps(np.asarray(x_g))
+def _psi_block(task) -> list:
+    """(record, violation) pairs of one block of a psi sweep.
 
-    def evaluate():
-        res = sp.psi_stable(lam, x, target)
-        env = sp.psi_envelope(lam, x)
-        reg = sp.regime_classify(lam, x, delta).label
-        lower = rs.min_pairing_value(lam, x)
-        upper = float(np.dot(lam, x))
+    task is (first index, lam gap rows, x gap rows, target, sandwich_tol,
+    delta).  The envelope, the regime label and the sandwich bounds <lam, X>
+    and min_w <w lam, X> are formed for the whole block; psi_stable runs once
+    per record.
+    """
+    start, lam_g, x_g, target, sandwich_tol, delta = task
+    lam, x = _coords_from_gaps(lam_g), _coords_from_gaps(x_g)
+    side = zip(lam.tolist(), x.tolist(), sp._envelope_rows(lam, x).tolist(),
+               sp._regime_rows(lam, x, delta).tolist(), rs._min_pairing(lam, x).tolist(),
+               rs._pairing(lam, x).tolist())
+    out = []
+    for idx, lv, xv, (lam_t, x_t, env, reg, lower, upper) in zip(itertools.count(start), lam, x, side):
+        try:
+            res = sp.psi_stable(lv, xv, target)
+        except WeylHeatError as exc:
+            out.append(_error_record(idx, lam_t, x_t, None, exc))
+            continue
         violation = None
         if res.log_value < lower - sandwich_tol or res.log_value > upper + sandwich_tol:
             violation = {
@@ -289,58 +317,62 @@ def _eval_psi_sample(args):
                 "lower": lower,
                 "upper": upper,
             }
-        return res, env, reg, violation
-
-    return _sample_record(idx, lam, x, None, evaluate)
+        out.append((_sample_record(idx, lam_t, x_t, None, res, env, reg), violation))
+    return out
 
 
 def sweep_psi_ratio(config: SweepConfig, threads: int = 1) -> RatioReport:
     """Evaluate psi against its envelope over the configured gap grid.
 
     Per sample: stable evaluation, envelope, regime label, and the two-sided
-    pairing bounds (violations are collected, the sweep keeps going).
+    pairing bounds (violations are collected, the sweep keeps going).  The
+    grid is evaluated in blocks of at most _SWEEP_BLOCK samples: the side
+    values of a block are formed row-wise, and each record makes exactly one
+    psi_stable call.  threads > 1 maps the blocks over a process pool; the
+    records are the same bytes for any thread count.
     """
-    tasks = [
-        (idx, tuple(lg), tuple(xg), config.target_log_err, config.sandwich_tol, config.delta)
-        for idx, lg, xg, _t in _iter_samples(config, with_t=False)
-    ]
-    return _sweep_report("psi_ratio", config, _eval_psi_sample, tasks, threads)
+    tasks = ((start, lg, xg, config.target_log_err, config.sandwich_tol, config.delta)
+             for start, lg, xg, _t in _sample_blocks(config, False, threads))
+    return _sweep_report("psi_ratio", config, _psi_block, tasks, threads)
 
 
 # ---------------------------------------------------------------------------
 # heat ratio sweep
 # ---------------------------------------------------------------------------
 
-def _eval_heat_sample(args):
-    idx, lam_g, x_g, t, target, delta, ck = args
-    n = len(lam_g)
-    ctx = ht.HeatContext(n=n, d=n + 1, gamma=rs.gamma(n), c_k=ck, c_k_provenance=ht.PROV_MMS)
-    y = _coords_from_gaps(np.asarray(lam_g))
-    x = _coords_from_gaps(np.asarray(x_g))
+def _heat_block(task) -> list:
+    """(record, violation) pairs of one block of a heat sweep.
 
-    def evaluate():
-        res = ht.heat_flat(ctx, t, x, y, target)
-        env = ht.heat_envelope(t, x, y)
-        return res, env, sp.regime_classify(x, y / (2.0 * t), delta).label, None
-
-    return _sample_record(idx, y, x, t, evaluate)
+    task is (first index, Y gap rows, X gap rows, t values, target, delta,
+    heat context).  The envelope and the regime label of (X, Y/2t) are formed
+    for the whole block; heat_flat runs once per record.
+    """
+    start, y_g, x_g, t, target, delta, ctx = task
+    y, x = _coords_from_gaps(y_g), _coords_from_gaps(x_g)
+    side = zip(y.tolist(), x.tolist(), t.tolist(), ht._envelope_rows(t, x, y).tolist(),
+               sp._regime_rows(x, y / (2.0 * t)[:, None], delta).tolist())
+    out = []
+    for idx, yv, xv, (y_t, x_t, ti, env, reg) in zip(itertools.count(start), y, x, side):
+        try:
+            res = ht.heat_flat(ctx, ti, xv, yv, target)
+        except WeylHeatError as exc:
+            out.append(_error_record(idx, y_t, x_t, ti, exc))
+            continue
+        out.append((_sample_record(idx, y_t, x_t, ti, res, env, reg), None))
+    return out
 
 
 def sweep_heat_ratio(config: SweepConfig, threads: int = 1) -> RatioReport:
-    """Kernel-to-envelope ratios over a (t, X, Y) grid; same report layout."""
-    ck = ht.mms_constant(config.rank)
-    tasks = [
-        (idx, tuple(lg), tuple(xg), t, config.target_log_err, config.delta, ck)
-        for idx, lg, xg, t in _iter_samples(config, with_t=True)
-    ]
-    return _sweep_report("heat_ratio", config, _eval_heat_sample, tasks, threads)
+    """Kernel-to-envelope ratios over a (t, X, Y) grid; same report layout.
 
-
-def _run_tasks(fn, tasks, threads: int):
-    if threads <= 1 or len(tasks) < 32:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (threads * 8))))
+    Blocks as in sweep_psi_ratio: the envelope and regime label are formed
+    row-wise, and each record makes exactly one heat_flat call, against one
+    heat context for the sweep.
+    """
+    ctx = ht.make_heat_context(config.rank)
+    tasks = ((start, lg, xg, t, config.target_log_err, config.delta, ctx)
+             for start, lg, xg, t in _sample_blocks(config, True, threads))
+    return _sweep_report("heat_ratio", config, _heat_block, tasks, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +502,7 @@ def cancellation_stress(n: int, levels=None, seed: int = 0) -> StressReport:
 def sample_dominant(rng, n: int, count: int, lo: float = 1e-2, hi: float = 10.0) -> np.ndarray:
     """(count, n+1) dominant vectors with log-uniform gaps and standard normal shifts."""
     u = rng.random((count, n))
-    gaps = lo * (hi / lo) ** u
-    coords = np.zeros((count, n + 1))
-    coords[:, :-1] = np.cumsum(gaps[:, ::-1], axis=1)[:, ::-1]
+    coords = _coords_from_gaps(lo * (hi / lo) ** u)
     coords += rng.standard_normal((count, 1))
     return coords
 
@@ -483,10 +513,7 @@ def sample_large_regime(rng, n: int, count: int) -> tuple:
     floor = math.sqrt(math.log(rs.weyl_order(n)))
     gl = floor * np.exp(rng.uniform(0.0, 1.5, size=(count, n)))
     gx = floor * np.exp(rng.uniform(0.0, 1.5, size=(count, n)))
-    lam = np.zeros((count, n + 1))
-    lam[:, :-1] = np.cumsum(gl[:, ::-1], axis=1)[:, ::-1]
-    x = np.zeros((count, n + 1))
-    x[:, :-1] = np.cumsum(gx[:, ::-1], axis=1)[:, ::-1]
+    lam, x = _coords_from_gaps(gl), _coords_from_gaps(gx)
     lam += rng.standard_normal((count, 1))
     x += rng.standard_normal((count, 1))
     return lam, x
@@ -598,10 +625,7 @@ def prop_checks(n: int, samples: int = 1000, seed: int = 0) -> PropReport:
 
     # small regime: psi / e^{<lam,X>} in (0, 1], bounded below
     gsmall = rng.random((samples, 2 * n)) * 0.9 / max(n, 1) + 1e-4
-    lamS = np.zeros((samples, m))
-    lamS[:, :-1] = np.cumsum(gsmall[:, :n][:, ::-1], axis=1)[:, ::-1]
-    xS = np.zeros((samples, m))
-    xS[:, :-1] = np.cumsum(gsmall[:, n:][:, ::-1], axis=1)[:, ::-1]
+    lamS, xS = _coords_from_gaps(gsmall[:, :n]), _coords_from_gaps(gsmall[:, n:])
     logpsi_shift = np.array(
         [sp.psi_stable(lamS[i], xS[i], 1e-10).log_value - float(lamS[i] @ xS[i]) for i in range(samples)]
     )

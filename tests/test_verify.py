@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -109,7 +111,8 @@ def test_heat_error_record_carries_coordinates(monkeypatch):
         raise DegenerateInput("forced")
 
     monkeypatch.setattr(vf.ht, "heat_flat", fail)
-    rec, violation = vf._eval_heat_sample((7, (1.0, 2.0), (0.5, 0.25), 0.3, 1e-9, 1.0, 1.0))
+    [(rec, violation)] = vf._heat_block((7, np.array([[1.0, 2.0]]), np.array([[0.5, 0.25]]),
+                                         np.array([0.3]), 1e-9, 1.0, ht.make_heat_context(2)))
     assert rec.error == "DegenerateInput: forced"
     assert violation == {"index": 7, "kind": "eval_error", "error": "forced"}
     assert rec.lam == (3.0, 2.0, 0.0)
@@ -130,16 +133,144 @@ def _count_as_coords(monkeypatch):
 
 
 def test_each_sample_checks_its_vectors_a_few_times(monkeypatch):
+    ctx = ht.make_heat_context(2)
     calls = _count_as_coords(monkeypatch)
     lam, x = np.array([2.0, 0.7, 0.0]), np.array([1.5, 0.4, 0.0])
     assert sp.psi_stable(lam, x).method == sp.METHOD_ALT
-    assert calls[0] <= 6  # the public pair check, cancellation_bits and psi_alt_sum
+    assert calls[0] <= 4  # the public pair check and psi_alt_sum
     calls[0] = 0
-    rec, _ = vf._eval_psi_sample((0, (1.3, 0.7), (1.1, 0.4), 1e-9, 1e-9, 1.0))
-    assert rec.error is None and calls[0] <= 12
+    [(rec, _)] = vf._psi_block((0, np.array([[1.3, 0.7]]), np.array([[1.1, 0.4]]), 1e-9, 1e-9, 1.0))
+    assert rec.error is None and calls[0] <= 4
     calls[0] = 0
-    rec, _ = vf._eval_heat_sample((0, (1.3, 0.7), (1.1, 0.4), 0.5, 1e-9, 1.0, ht.mms_constant(2)))
-    assert rec.error is None and calls[0] <= 12
+    [(rec, _)] = vf._heat_block((0, np.array([[1.3, 0.7]]), np.array([[1.1, 0.4]]), np.array([0.5]),
+                                 1e-9, 1.0, ctx))
+    assert rec.error is None and calls[0] <= 6  # heat_flat's pair check, then psi_stable
+
+
+def _per_sample_gaps(config, with_t):
+    """Reference order of the samples: the product of the axes (the last axis
+    fastest), or per sample the lam gaps, x gaps and t drawn in turn."""
+    n = config.rank
+    specs = [config.lam_axis] * n + [config.x_axis] * n + ([config.t_axis] if with_t else [])
+    if config.mode != "random":
+        yield from itertools.product(*(a.grid(config.mode == "log_grid") for a in specs))
+        return
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    for _ in range(config.samples):
+        row = []
+        for k in (n, n, 1)[: 2 + with_t]:
+            a = specs[len(row)]
+            row.extend(a.lo * (a.hi / a.lo) ** rng.random(k))
+        yield tuple(row)
+
+
+@pytest.mark.parametrize("mode", ["grid", "log_grid", "random"])
+def test_sample_blocks_keep_the_per_sample_order(mode):
+    ax = vf.AxisSpec(0.1, 10.0, 3)
+    config = vf.SweepConfig(rank=2, lam_axis=ax, x_axis=vf.AxisSpec(0.2, 5.0, 2), t_axis=ax,
+                            mode=mode, samples=100, seed=9)
+    for with_t in (False, True):
+        expected = list(_per_sample_gaps(config, with_t))
+        for threads in (1, 3):
+            got = []
+            for start, lg, xg, t in vf._sample_blocks(config, with_t, threads):
+                assert start == len(got) and len(lg) <= vf._SWEEP_BLOCK
+                cols = [lg, xg] + ([t[:, None]] if with_t else [])
+                got.extend(map(tuple, np.concatenate(cols, axis=1).tolist()))
+            assert got == expected, (mode, with_t, threads)
+
+
+def _within_ulps(a, b, summands, ulps=4):
+    """a and b agree within ulps units in the last place of the largest summand."""
+    return abs(a - b) <= ulps * np.spacing(max(abs(float(v)) for v in summands))
+
+
+SIDE_PSI_CONFIGS = [
+    vf.default_psi_config(1),
+    vf.default_psi_config(2),
+    vf.SweepConfig(rank=3, lam_axis=vf.AxisSpec(1e-3, 1e3, 4), x_axis=vf.AxisSpec(1e-3, 1e3, 4)),
+    # a zero lam gap: confluent rows
+    vf.SweepConfig(rank=2, lam_axis=vf.AxisSpec(0.0, 2.0, 3), x_axis=vf.AxisSpec(0.5, 3.0, 3),
+                   mode="grid"),
+    vf.SweepConfig(rank=3, lam_axis=vf.AxisSpec(1e-3, 1e3, 2), x_axis=vf.AxisSpec(1e-3, 1e3, 2),
+                   mode="random", samples=200, seed=11),
+]
+
+
+@pytest.mark.parametrize("config", SIDE_PSI_CONFIGS, ids=lambda c: f"{c.mode}-n{c.rank}")
+def test_psi_sweep_side_values_match_public_functions(config):
+    # the envelope, regime label and sandwich bounds are formed for a whole
+    # block; each record must carry what the public functions give for its
+    # pair.  A negative sandwich tolerance flags records near either bound.
+    config = dataclasses.replace(config, sandwich_tol=-0.5)
+    rep = vf.sweep_psi_ratio(config)
+    expected = []
+    for r in rep.records:
+        lam, x = np.array(r.lam), np.array(r.x)
+        prods = rs.root_values(lam) * rs.root_values(x)
+        env = sp.psi_envelope(lam, x)
+        assert _within_ulps(r.log_envelope, env, [*(lam * x), *np.log1p(prods)]), r
+        assert r.regime == sp.regime_classify(lam, x, config.delta).label
+        lower, upper = rs.min_pairing_value(lam, x), float(np.dot(lam, x))
+        if r.log_value < lower + 0.5 or r.log_value > upper - 0.5:
+            expected.append((r.index, lower, upper))
+    got = [(v["index"], v["lower"], v["upper"]) for v in rep.violations]
+    assert [e[0] for e in expected] == [g[0] for g in got] and got
+    for (i, lower, upper), (_, vl, vu) in zip(expected, got):
+        r = rep.records[i]
+        terms = list(np.array(r.lam) * np.array(r.x))
+        assert _within_ulps(vl, lower, terms) and _within_ulps(vu, upper, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_heat_sweep_side_values_match_public_functions(n):
+    config = vf.default_heat_config(n)
+    rep = vf.sweep_heat_ratio(config)
+    for r in rep.records:
+        y, x, t = np.array(r.lam), np.array(r.x), r.t
+        prods = rs.root_values(x) * rs.root_values(y)
+        summands = [x.size / 2.0 * math.log(t), *((x - y) ** 2 / (4.0 * t)), *np.log(t + prods)]
+        assert _within_ulps(r.log_envelope, ht.heat_envelope(t, x, y), summands), r
+        assert r.regime == sp.regime_classify(x, y / (2.0 * t), config.delta).label
+
+
+def _count_calls(monkeypatch, mod, name):
+    """Count the outermost calls of mod.name, as the benchmark's record timer does."""
+    calls = [0]
+    busy = [False]
+    fn = getattr(mod, name)
+
+    def counted(*args, **kwargs):
+        if busy[0]:
+            return fn(*args, **kwargs)
+        busy[0] = True
+        calls[0] += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            busy[0] = False
+
+    monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_record_makes_one_kernel_call(monkeypatch):
+    # the benchmark times each record's own psi_stable / heat_flat call
+    # through the module attribute; one call per record is its contract
+    calls = _count_calls(monkeypatch, sp, "psi_stable")
+    for config in SIDE_PSI_CONFIGS:
+        calls[0] = 0
+        rep = vf.sweep_psi_ratio(config)
+        assert calls[0] == len(rep.records)
+    calls = _count_calls(monkeypatch, ht, "heat_flat")
+    rep = vf.sweep_heat_ratio(vf.default_heat_config(2))
+    assert calls[0] == len(rep.records)
+
+
+def test_heat_threads_do_not_change_records():
+    cfg = vf.default_heat_config(1)
+    serial = vf.to_json_bytes(vf.sweep_heat_ratio(cfg, threads=1))
+    assert vf.to_json_bytes(vf.sweep_heat_ratio(cfg, threads=2)) == serial
 
 
 def test_csv_serialization_shape():
