@@ -4,8 +4,11 @@ psi_lambda(X) is evaluated by several independent routes:
 
 * an alternating sum over the Weyl group (closed formula), with compensated
   64-bit summation, or as the determinant det[e^{lam_i x_j}] in
-  arbitrary-precision floats when cancellation bites or the rank is large,
-* the chain-domain recursion (confluent safe, rank <= 3): a product
+  arbitrary-precision floats when cancellation bites or the rank is large;
+  coincident coordinates are spread apart by a small trace-free
+  displacement, with a derived bound on what that moves, and take the
+  determinant,
+* the chain-domain recursion (confluent safe in lam, rank <= 3): a product
   Gauss-Legendre rule over the interlacing chains, summed one link of the
   chain at a time, with a derived bound on its rounding,
 * a Haar Monte Carlo average over the unitary orbit (statistical oracle).
@@ -40,6 +43,7 @@ METHOD_ALT_EXT = "alt_sum_extended"
 METHOD_ITER = "iter_quadrature"
 METHOD_MC = "monte_carlo"
 METHOD_CLOSED = "closed_form"
+METHOD_CONFLUENT = "confluent"
 
 REGIME_SMALL = "small"
 REGIME_LARGE = "large"
@@ -81,14 +85,6 @@ class EvalResult:
 class RegimeLabel:
     label: str
     delta: float
-
-
-def _min_gap(v: np.ndarray) -> float:
-    return float(np.min(v[:-1] - v[1:]))
-
-
-def _all_equal(v: np.ndarray) -> bool:
-    return bool(np.all(v == v[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +185,18 @@ def _psi_log_float(lv: np.ndarray, xv: np.ndarray, roots: np.ndarray) -> tuple[f
 def cancellation_bits(lam, x) -> float:
     """Estimated leading bits the alternating sum cancels, which alone set the
     precision a rung needs (the gap-product terms are accurate at any scale):
-    sum_{i<j} log2(1 + 1/((lam_i - lam_j)(x_i - x_j) + eps))."""
+    sum_{i<j} log2(1 + 1/((lam_i - lam_j)(x_i - x_j))).  Coincident
+    coordinates cancel without limit and are refused."""
     lv, xv = rs.as_pair(lam, x)
-    return _cancellation_bits(rs.root_values(lv) * rs.root_values(xv))
+    prods = rs.root_values(lv) * rs.root_values(xv)
+    if prods.min() <= 0.0:
+        raise DegenerateInput("coordinates coincide; psi_stable spreads them itself")
+    return _cancellation_bits(prods)
 
 
 def _cancellation_bits(prods: np.ndarray) -> float:
-    """cancellation_bits from the root-value products alpha(lam) alpha(X)."""
-    return float(np.sum(np.log2(1.0 + 1.0 / (prods + _EPS))))
+    """cancellation_bits from the positive root-value products alpha(lam) alpha(X)."""
+    return float(np.sum(np.log2(1.0 + 1.0 / prods)))
 
 
 def psi_alt_sum(lam, x, precision_bits: int = 53) -> EvalResult:
@@ -449,7 +449,7 @@ def psi_iter_quadrature(lam, x, tol: float = 1e-9) -> EvalResult:
     if m - 1 > 3:
         raise RankTooLarge("iter quadrature supports rank <= 3")
     rs.check_positive(tol, "tol")
-    if _min_gap(xv) <= 0.0:
+    if np.any(xv[:-1] <= xv[1:]):
         raise DegenerateInput("x must be strictly dominant for the chain recursion")
     if m == 2:
         g = _log_G2(lv[0] - lv[1], xv[0], xv[0] - xv[1], _chain_bounds(lv, xv))
@@ -584,74 +584,80 @@ def _regime_rows(lv: np.ndarray, xv: np.ndarray, delta: float) -> np.ndarray:
 
 def _closed_constant_side(lv: np.ndarray, xv: np.ndarray):
     """Exact value when either vector is constant: psi_{c 1}(X) = e^{c sum X}."""
-    if _all_equal(lv):
+    if np.all(lv == lv[0]):
         return float(lv[0] * math.fsum(xv.tolist()))
-    if _all_equal(xv):
+    if np.all(xv == xv[0]):
         return float(xv[0] * math.fsum(lv.tolist()))
     return None
 
 
-def _richardson(eps_values, log_values):
-    """Neville extrapolation of log psi(eps) to eps = 0, with an error guess."""
-    pts = list(zip(eps_values, log_values))
-    tab = [list(log_values)]
-    k = 1
-    while k < len(pts):
-        row = []
-        for i in range(len(pts) - k):
-            e0, e1 = pts[i][0], pts[i + k][0]
-            row.append((e0 * tab[-1][i + 1] - e1 * tab[-1][i]) / (e0 - e1))
-        tab.append(row)
-        k += 1
-    est = tab[-1][0]
-    err = abs(tab[-1][0] - tab[-2][0]) if len(tab) >= 2 else math.inf
-    return est, err
+def _spread_runs(v: np.ndarray, delta: float) -> np.ndarray:
+    """v with each run of k coordinates (gaps at most DEFAULT_DEGENERATE_TOL)
+    displaced by delta ((k-1)/2 - j), j < k: trace free, each gap grows by delta."""
+    new = np.concatenate([[True], v[:-1] - v[1:] > DEFAULT_DEGENERATE_TOL])
+    run = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    size = np.diff(np.append(start, v.size))
+    return v + delta * ((size[run] - 1) / 2.0 - (np.arange(v.size) - start[run]))
 
 
-def _psi_confluent(lv, xv, target):
-    """Handle coincident coordinates: exact shortcut, chain quadrature, or
-    an eps-perturbed alternating sum extrapolated to the confluent limit."""
-    m = lv.size
-    n = m - 1
+def _spread_error(v: np.ndarray, w: np.ndarray, ws: np.ndarray) -> float:
+    """Bound on |log psi_v(ws) - log psi_v(w)|: psi_v(W) is the Haar average
+    of exp<v, diag(U W U*)>, so d log psi / dw_j lies in [v_m, v_1].  The
+    trace sum(ws - w) is summed exactly, then rounded once."""
+    return 0.5 * ((v[0] - v[-1]) * float(np.abs(ws - w).sum())
+                  + abs(v[0] + v[-1]) * abs(math.fsum([*ws.tolist(), *(-w).tolist()])))
+
+
+def _psi_confluent(lv: np.ndarray, xv: np.ndarray, target: float) -> EvalResult:
+    """psi when coordinates coincide: exact when a side is constant; else the
+    determinant ladder on the pair with its runs spread by delta, plus a
+    bound on what the spread moved.  delta = target / (8 m (1 + spread of
+    lam + spread of x)), at least two ulps of the coordinates (so the spread
+    survives rounding) and at most 1/m of the least other gap (so the order
+    does)."""
+    if xv.tolist() < lv.tolist():  # the canonical order of the pair
+        lv, xv = xv, lv
     const = _closed_constant_side(lv, xv)
     if const is not None:
         return EvalResult(const, METHOD_CLOSED, _EPS * (1.0 + abs(const)))
-    if n <= 3:
-        if _min_gap(xv) > 0.0:
-            return psi_iter_quadrature(lv, xv, tol=target)
-        if _min_gap(lv) > 0.0:
-            return psi_iter_quadrature(xv, lv, tol=target)  # psi is symmetric
-        # both sides degenerate: perturb lam toward the open chamber and
-        # extrapolate the chain quadrature to eps = 0
-        rv = rs.rho(n).array()
-        scale = 1.0 / (1.0 + float(np.abs(xv).max()))
-        eps_list = [1e-2 * scale, 5e-3 * scale, 2.5e-3 * scale]
-        logs = [
-            psi_iter_quadrature(xv, lv + e * rv, tol=min(target, 1e-11)).log_value
-            for e in eps_list
-        ]
-        est, err = _richardson(eps_list, logs)
-        if err > max(target, 4.0 * _EPS * (1.0 + abs(est))):
-            raise ToleranceUnachievable(
-                f"confluent extrapolation stalled at error {err:.3g} (target {target:.3g})"
-            )
-        return EvalResult(est, METHOD_ITER, err)
-    # rank > 3: no chain quadrature; eps-perturb both sides as needed
-    rv = rs.rho(n).array()
-    scale = 1.0 / (1.0 + float(np.abs(xv).max()) + float(np.abs(lv).max()))
-    eps_list = [e * scale for e in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
-    logs = []
-    for e in eps_list:
-        lp = lv + e * rv if _min_gap(lv) <= DEFAULT_DEGENERATE_TOL else lv
-        xp = xv + e * rv if _min_gap(xv) <= DEFAULT_DEGENERATE_TOL else xv
-        logs.append(psi_stable(lp, xp, target_rel_err=min(target, 1e-11)).log_value)
-    est, err = _richardson(eps_list, logs)
-    if err > max(target, 4.0 * _EPS * (1.0 + abs(est))):
+    m = lv.size
+    gaps = np.concatenate([lv[:-1] - lv[1:], xv[:-1] - xv[1:]])
+    delta = max(target / (8.0 * m * (1.0 + float(lv[0] - lv[-1] + xv[0] - xv[-1]))),
+                2.0 * float(np.spacing(max(-lv[-1], lv[0], -xv[-1], xv[0]))))
+    delta = min(delta, np.min(gaps, where=gaps > DEFAULT_DEGENERATE_TOL, initial=math.inf) / m)
+    ls, xs = _spread_runs(lv, delta), _spread_runs(xv, delta)
+    al, ax = rs.root_values(ls), rs.root_values(xs)
+    # the displacement binary64 applied: x under lam, then lam under x'; the
+    # factor covers the rounding of the bound's own evaluation
+    e_pert = (_spread_error(lv, xv, xs) + _spread_error(xs, lv, ls)) * (1.0 + (m + 8) * _EPS)
+    if not (min(al.min(), ax.min()) > 0.0 and e_pert < target):
         raise ToleranceUnachievable(
-            f"confluent extrapolation at rank {n} reached only {err:.3g} "
-            f"(target {target:.3g})"
+            f"spreading tied coordinates by {delta:.3g} moves log psi by {e_pert:.3g}, "
+            f"which leaves no room for the target {target:.3g}"
         )
-    return EvalResult(est, METHOD_ALT_EXT, err)
+
+    def rung(bits: int) -> EvalResult:
+        log_value, err = _psi_log_mp(ls, xs, bits)
+        return EvalResult(log_value, METHOD_CONFLUENT, err + e_pert)
+
+    return _ladder(rung, _plan_bits(_cancellation_bits(al * ax), m, target - e_pert)[1], target)
+
+
+def _meets(res: EvalResult, target: float) -> bool:
+    """Whether res honours the target; a binary64 result cannot beat the ulp
+    of its own log value, and that floor is excluded from the guarantee."""
+    return res.abs_log_error <= target + 2.0 * _EPS * (1.0 + abs(res.log_value))
+
+
+def _ladder(rung, prec: int, target: float) -> EvalResult:
+    """The first rung(prec) that meets the target, prec doubling up to _MAX_PREC."""
+    while prec <= _MAX_PREC:
+        res = rung(prec)
+        if _meets(res, target):
+            return res
+        prec *= 2
+    raise ToleranceUnachievable(f"could not reach log-error {target} below {_MAX_PREC} bits")
 
 
 def _plan(lv: np.ndarray, xv: np.ndarray, target_rel_err: float) -> tuple[int, int]:
@@ -688,7 +694,13 @@ def psi_stable(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
     bits takes the compensated binary64 sum; the rest, and any whose binary64
     bound misses, take the mpmath determinant with 64 guard bits, as ranks 7
     and 8 always do.  The determinant's precision doubles until its bound
-    meets the target.  Coincident coordinates go to the confluent paths.
+    meets the target.
+
+    Coincident coordinates (gaps at most DEFAULT_DEGENERATE_TOL) take one
+    confluent route: a constant side is the closed form e^{c sum X};
+    otherwise each run of tied coordinates is spread by a small trace-free
+    displacement and the pair takes the determinant ladder, whose bound
+    gains a derived bound on what the spread moved (method "confluent").
 
     The pair is checked, and its root values alpha(lam), alpha(X) formed,
     once for the degenerate test and the plan.  Each rung attempt is one call
@@ -704,25 +716,11 @@ def psi_stable(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
         return _psi_confluent(lv, xv, target_rel_err)
 
     first, prec = _plan_bits(_cancellation_bits(al * ax), lv.size, target_rel_err)
-
-    def meets(res: EvalResult) -> bool:
-        # a binary64 result cannot beat the ulp of its own log value; that
-        # floor is excluded from the guarantee
-        return res.abs_log_error <= target_rel_err + 2.0 * _EPS * (1.0 + abs(res.log_value))
-
     if first == 53:
         res = psi_alt_sum(lv, xv, 53)
-        if meets(res):
+        if _meets(res, target_rel_err):
             return res
-
-    while prec <= _MAX_PREC:
-        res = psi_alt_sum(lv, xv, prec)
-        if meets(res):
-            return res
-        prec *= 2
-    raise ToleranceUnachievable(
-        f"could not reach log-error {target_rel_err} below {_MAX_PREC} bits"
-    )
+    return _ladder(lambda bits: psi_alt_sum(lv, xv, bits), prec, target_rel_err)
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def _sample_blocks(config: SweepConfig, with_t: bool, threads: int):
 def _sample_record(idx, lam, x, t, res, env, reg) -> RatioRecord:
     """The record of a sample whose kernel call returned res."""
     log_ratio = res.log_value - env
-    confluent = res.method in (sp.METHOD_ITER, sp.METHOD_CLOSED)
+    confluent = res.method in (sp.METHOD_CONFLUENT, sp.METHOD_CLOSED)
     return RatioRecord(
         index=idx, lam=tuple(lam), x=tuple(x), t=t,
         log_value=res.log_value, log_envelope=env, log_ratio=log_ratio,

@@ -7,7 +7,7 @@ import pytest
 
 from weylheat import rootsystem as rs
 from weylheat import spherical as sp
-from weylheat._quad import GRID_VALUES, gl_nodes, log_ratio_1mexp, logsumexp, tensor_grid
+from weylheat._quad import GRID_VALUES, gl_nodes, leggauss, log_ratio_1mexp, logsumexp, tensor_grid
 from weylheat.errors import DegenerateInput, RankTooLarge
 
 
@@ -57,6 +57,8 @@ def test_psi_is_symmetric_bit_for_bit_on_both_rungs():
             for bits in (53, sp._plan(lam, x, 1e-12)[1]):
                 assert sp.psi_alt_sum(lam, x, bits) == sp.psi_alt_sum(x, lam, bits)
             assert sp.psi_stable(lam, x) == sp.psi_stable(x, lam)
+    for lam, x in _confluent_cases(7, range(1, 8), 1):
+        assert sp.psi_stable(lam, x) == sp.psi_stable(x, lam)
 
 
 def test_alt_sum_rejects_degenerate_and_large_rank():
@@ -105,7 +107,7 @@ def test_psi_stable_degenerate_matches_confluent_limit():
     # lam = (1,1,0) equals the eps -> 0 limit of lam = (1+eps,1,0)
     x = [2.0, 1.0, 0.0]
     res = sp.psi_stable([1.0, 1.0, 0.0], x, 1e-10)
-    assert res.method == "iter_quadrature"
+    assert res.method == sp.METHOD_CONFLUENT
     vals = []
     for eps in (1e-2, 1e-3, 1e-4):
         vals.append(sp.psi_alt_sum([1.0 + eps, 1.0, 0.0], x, 256).log_value)
@@ -124,22 +126,113 @@ def test_psi_normalization_confluent():
         assert abs(res.log_value) < 1e-12
 
 
-def test_psi_stable_degenerate_above_quadrature_rank():
-    # rank 4 has no chain quadrature; the confluent limit comes from an
+def spread_ref_log_psi(lam, x):
+    """Reference log psi for coincident coordinates: lam and x each shifted
+    by 1e-90 (m-1, ..., 1, 0) in mpmath, which opens every tie to a gap of
+    1e-90 and moves log psi by about 1e-89, then the Harish-Chandra formula
+    log(prod_{k<m} k! det[e^{lam_i x_j}] / (pi(lam) pi(x))), with mpmath's
+    pivoting determinant, at 1600 bits beyond the 300 each tie cancels."""
+    m = lam.size
+    ties = int(np.sum(rs.root_values(lam) <= sp.DEFAULT_DEGENERATE_TOL)
+               + np.sum(rs.root_values(x) <= sp.DEFAULT_DEGENERATE_TOL))
+    with mp.workprec(1600 + 300 * ties):
+        eps = mp.mpf(10) ** -90
+        lmp = [mp.mpf(float(v)) + eps * (m - 1 - i) for i, v in enumerate(lam)]
+        xmp = [mp.mpf(float(v)) + eps * (m - 1 - i) for i, v in enumerate(x)]
+        det = mp.det(mp.matrix([[mp.exp(a * b) for b in xmp] for a in lmp]))
+        vander = mp.fprod((lmp[i] - lmp[j]) * (xmp[i] - xmp[j])
+                          for i in range(m) for j in range(i + 1, m))
+        return mp.log(rs._superfactorial(m) * det / vander)
+
+
+def _confluent_cases(seed, ranks, per_kind):
+    """(lam, x) with coincident coordinates, no side constant: one tie in lam,
+    one tie on each side, a run of three tied coordinates in lam (with a tie
+    in x), and a near-tie of 1e-13 in lam."""
+    rng = np.random.default_rng(seed)
+    for n in ranks:
+        for kind in ("one_sided", "two_sided", "run_of_3", "near_tie"):
+            if (n == 1 and kind != "near_tie") or (n == 2 and kind == "run_of_3"):
+                continue  # the tied side would be constant
+            for _ in range(per_kind):
+                gl, gx = 10 ** rng.uniform(-1, 0.5, n), 10 ** rng.uniform(-1, 0.5, n)
+                if kind == "run_of_3":
+                    k = rng.integers(n - 1)
+                    gl[k:k + 2] = 0.0
+                else:
+                    gl[rng.integers(n)] = 1e-13 if kind == "near_tie" else 0.0
+                if kind in ("two_sided", "run_of_3"):
+                    gx[rng.integers(n)] = 0.0
+                yield _from_gaps(gl, rng.normal()), _from_gaps(gx, rng.normal())
+
+
+def test_confluent_within_bound_of_spread_reference():
+    # every confluent result at ranks 1-8 and targets 1e-12, 1e-9 and 1e-6
+    # meets its target and lies within its declared bound of the reference;
+    # at 1e-2 the spread is wide enough to move log psi measurably (a tie is
+    # a symmetric point, so the move is second order), which puts the bound
+    # on the spread itself to the test
+    cases = list(_confluent_cases(60, range(1, 9), 2))
+    assert len(cases) == 2 * (4 * 8 - 4)
+    for lam, x in cases:
+        ref = spread_ref_log_psi(lam, x)
+        for target in (1e-12, 1e-9, 1e-6, 1e-2):
+            res = sp.psi_stable(lam, x, target)
+            assert res.method == sp.METHOD_CONFLUENT
+            assert res.abs_log_error <= target
+            with mp.workprec(1600):
+                assert abs(mp.mpf(res.log_value) - ref) <= res.abs_log_error, (lam, x, target)
+
+
+def test_one_sided_ties_return_within_bound():
+    # one lam gap zero, the others 0.3-9.5, at 1e-11: every draw returns a
+    # confluent result within its bound, none raises
+    rng = np.random.default_rng(60)
+    for n in (3, 4, 5):
+        for _ in range(60):
+            gl, gx = rng.uniform(0.3, 9.5, n), rng.uniform(0.3, 9.5, n)
+            gl[rng.integers(n)] = 0.0
+            lam, x = _from_gaps(gl, 0.0), _from_gaps(gx, 0.0)
+            res = sp.psi_stable(lam, x, 1e-11)
+            assert res.method == sp.METHOD_CONFLUENT and res.abs_log_error <= 1e-11
+            ref = spread_ref_log_psi(lam, x)
+            with mp.workprec(1600):
+                assert abs(mp.mpf(res.log_value) - ref) <= res.abs_log_error, (lam, x)
+
+
+def test_spread_keeps_small_gaps_open():
+    # a gap of 1e-10 next to a tie, at a target whose spread would close it
+    lam = np.array([2.0, 1.0 + 1e-10, 1.0, 1.0, 0.0])
+    x = np.array([3.0, 2.2, 1.4, 0.7, 0.0])
+    res = sp.psi_stable(lam, x, 1e-6)
+    assert res.method == sp.METHOD_CONFLUENT and res.abs_log_error <= 1e-6
+    with mp.workprec(1600):
+        assert abs(mp.mpf(res.log_value) - spread_ref_log_psi(lam, x)) <= res.abs_log_error
+
+
+def test_psi_stable_degenerate_above_quadrature_rank(monkeypatch):
+    # rank 4 had no chain quadrature; the confluent result agrees with an
     # eps-perturbed extrapolation of the extended-precision alternating sum
     lam = np.array([2.0, 1.0, 1.0, 0.5, 0.0])
     x = np.array([3.0, 2.2, 1.4, 0.7, 0.0])
-    res = sp.psi_stable(lam, x, 1e-5)  # documented accuracy degradation here
-    assert res.method == "alt_sum_extended"
+    res = sp.psi_stable(lam, x, 1e-5)
+    assert res.method == sp.METHOD_CONFLUENT
     vals = []
     for eps in (1e-3, 1e-4, 1e-5):
         lam_eps = lam + eps * np.array([4.0, 3.0, 2.0, 1.0, 0.0])  # re-split the tie
         vals.append(sp.psi_alt_sum(lam_eps, x, 256).log_value)
     coef = np.polyfit([1e-3, 1e-4, 1e-5], vals, 2)
     assert res.log_value == pytest.approx(coef[-1], abs=1e-6)
-    # an impossible target raises instead of silently degrading
-    with pytest.raises(sp.ToleranceUnachievable):
-        sp.psi_stable(lam, x, 1e-13)
+    # a target of 1e-13 is met within its bound of the spread reference
+    res13 = sp.psi_stable(lam, x, 1e-13)
+    assert res13.method == sp.METHOD_CONFLUENT and res13.abs_log_error <= 1e-13
+    with mp.workprec(1600):
+        assert abs(mp.mpf(res13.log_value) - spread_ref_log_psi(lam, x)) <= res13.abs_log_error
+    # a target out of reach of the precision ladder raises instead of degrading
+    with monkeypatch.context() as mpatch:
+        mpatch.setattr(sp, "_MAX_PREC", 64)
+        with pytest.raises(sp.ToleranceUnachievable):
+            sp.psi_stable(lam, x, 1e-12)
     # the all-equal shortcut stays exact at any rank
     res0 = sp.psi_stable(np.full(5, 0.7), x)
     assert res0.method == "closed_form"
@@ -306,6 +399,12 @@ def test_planned_precision_monotone_in_cancellation():
     ]
     assert bits == sorted(bits)
     assert bits[0] == 53 and bits[-1] > 64
+
+
+def test_planner_refuses_ties():
+    # the gap products carry no floor, so a tie has no finite estimate
+    with pytest.raises(DegenerateInput):
+        sp.planned_precision([1.0, 1.0, 0.0], [2.0, 1.0, 0.0])
 
 
 def test_cross_oracle_triangle_rank2():
@@ -585,7 +684,7 @@ def test_chain_ladder_stops_on_the_oracle_rung(monkeypatch):
 def _mp_rule_nodes(lo, hi, level):
     """Nodes and weights of the rule on [lo, hi] from the binary64 table, exactly."""
     order, panels = level
-    xi, wi = np.polynomial.legendre.leggauss(order)
+    xi, wi = leggauss(order)
     step = (hi - lo) / panels
     return [(lo + step * (p + (mp.mpf(a) + 1) / 2), step * mp.mpf(w) / 2)
             for p in range(panels) for a, w in zip(xi.tolist(), wi.tolist())]
@@ -696,7 +795,7 @@ def test_iter_quadrature_error_covers_512_bit_reference():
 
 def test_chain_rounding_model():
     # the bound takes numpy's exp, log, log1p and expm1 as faithful (error
-    # below one ulp) and the Legendre table as exactly antisymmetric, so the
+    # below one ulp) and the code's Legendre table as exactly antisymmetric, so the
     # reversed offsets are the distances to the upper end
     rng = np.random.default_rng(54)
     samples = {
@@ -712,7 +811,7 @@ def test_chain_rounding_model():
                 assert abs(mp.mpf(b) - exact) < np.spacing(abs(float(exact))), (f, a)
     orders = {o for rungs in sp._ITER_RUNGS.values() for levels in rungs for o, _ in levels}
     for order in orders:
-        xi, _ = np.polynomial.legendre.leggauss(order)
+        xi, _ = leggauss(order)
         assert np.array_equal(xi, -xi[::-1])
 
 

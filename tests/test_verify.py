@@ -88,12 +88,18 @@ def test_psi_sweep_rank1_ratio_bounds_and_sandwich():
 
 
 def test_degenerate_sample_flagged():
-    cfg = vf.SweepConfig(rank=1, lam_axis=vf.AxisSpec(0.0, 1.0, 2),
-                         x_axis=vf.AxisSpec(0.5, 1.0, 2), mode="grid")
-    rep = vf.sweep_psi_ratio(cfg)
-    flagged = [r for r in rep.records if "confluent_path" in r.flags]
-    assert flagged, "gap 0 samples must route through the confluent path"
-    assert all(r.error is None for r in rep.records)
+    for rank in (1, 4):
+        cfg = vf.SweepConfig(rank=rank, lam_axis=vf.AxisSpec(0.0, 1.0, 2),
+                             x_axis=vf.AxisSpec(0.5, 1.0, 2), mode="grid")
+        rep = vf.sweep_psi_ratio(cfg)
+        flagged = [r for r in rep.records if "confluent_path" in r.flags]
+        assert flagged, "gap 0 samples must route through the confluent path"
+        assert all(r.error is None for r in rep.records)
+        # exactly the samples with a zero gap are flagged
+        tied = [r for r in rep.records if 0.0 in np.diff(r.lam) or 0.0 in np.diff(r.x)]
+        assert flagged == tied
+        if rank > 1:
+            assert {r.method for r in flagged} == {sp.METHOD_CONFLUENT, sp.METHOD_CLOSED}
 
 
 def test_heat_sweep_runs_and_positive():
