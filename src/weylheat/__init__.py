@@ -47,14 +47,9 @@ from .heat import (
 )
 from .rootsystem import (
     ChamberPoint,
-    RootSystemAn,
-    WeylElement,
-    decompose_diff,
     min_weyl_pairing,
     positive_roots,
     rho,
-    root_system,
-    weyl_elements,
 )
 from .spherical import (
     EvalResult,

@@ -266,15 +266,14 @@ def _cmd_constants(args) -> int:
     n = args.n
     rs.check_positive(args.t_ref, "t_ref")  # also where no calibration runs (n > 2)
     c_mms = ht.mms_constant(n)  # first: it refuses ranks past binary64
-    sysn = rs.root_system(n)
     c_cal = ht.calibrate_constant(n, args.t_ref) if n <= 2 else None
     payload = {
         "n": n,
         "d": n + 1,
-        "gamma": sysn.gamma,
-        "weyl_order": sysn.weyl_order(),
-        "rho": list(sysn.rho.coords),
-        "positive_roots": [list(r) for r in sysn.positive_roots],
+        "gamma": rs.gamma(n),
+        "weyl_order": rs.weyl_order(n),
+        "rho": list(rs.rho(n).coords),
+        "positive_roots": [list(r) for r in rs.positive_roots(n)],
         "c_k_chamber_mms": c_mms,
         "c_k_calibrated": c_cal,
         "mms_fullspace": ht.mms_constant(n, chamber=False),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rootsystem as rs
-from ._quad import gl_nodes, log_positive, log_ratio_1mexp, logsumexp, tensor_blocks
+from ._quad import gl_nodes, log_ratio_1mexp, logsumexp, tensor_blocks
 from .errors import (
     PreconditionViolated,
     QuadratureNonconvergence,
@@ -165,7 +165,7 @@ def _log_integrand_exact(lv: np.ndarray, Y: np.ndarray) -> np.ndarray:
     lam0 = lv[:-1] - lv[-1]
     out = Y @ lam0
     pref = sum(math.lgamma(k + 1) for k in range(1, n))
-    return out + log_positive(rs.weyl_alt_terms(Y, lam0).sum(axis=-1)) + pref
+    return out + rs.log_alt_sum(Y, lam0) + pref
 
 
 def _master_once(lv: np.ndarray, xv: np.ndarray, order: int, levels: int, form: str) -> float:

@@ -3,14 +3,16 @@
 The reference measure on the closed chamber is pi(Y)^2 dY.  The flat kernel is
 
     p_t(X, Y) = t^{-d/2-gamma} exp(-(|X|^2+|Y|^2)/4t) psi_X(Y/2t) / (2^{gamma+d/2} c)
+              = C' t^{-d/2} exp(-|X-Y|^2/4t) T / (pi(X) pi(Y)),
 
-with d = n+1 ambient dimensions, gamma positive roots, and c the Gaussian
+T = sum_w eps(w) exp(-<X, Y - wY>/2t), C' = pi(rho) / (2^{gamma+d/2} c), with
+d = n+1 ambient dimensions, gamma positive roots, and c the Gaussian
 normalization constant, fixed so that the kernel has unit mass on the chamber.
-Two independent routes to c are provided (Mehta's closed form of the Gaussian
-moment and kernel-mass calibration) plus four independent checks of the kernel
-itself: a signed-image expansion, an oscillatory-spectrum inversion integral
-with a closed-form front constant, a finite-difference heat-equation residual,
-and the semigroup property.
+heat_flat evaluates the second form; ties take the first.  Two independent
+routes to c are provided (Mehta's closed form of the Gaussian moment and
+kernel-mass calibration) plus three independent checks of the kernel itself:
+an oscillatory-spectrum inversion integral with a closed-form front constant,
+a finite-difference heat-equation residual, and the semigroup property.
 """
 
 from __future__ import annotations
@@ -21,18 +23,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+import mpmath as mp
 import numpy as np
 
 from . import rootsystem as rs
 from . import spherical as sp
-from ._quad import GRID_VALUES, gl_nodes, log_positive, log_sinh, logsumexp, tensor_blocks
+from ._quad import (
+    GRID_VALUES, _two_prod, _two_sum, gl_nodes, log_positive, log_sinh, logsumexp, tensor_blocks,
+)
 from .errors import (
     CalibrationError,
     DegenerateInput,
     PreconditionViolated,
     QuadratureNonconvergence,
     RankTooLarge,
+    ToleranceUnachievable,
 )
+
+_U = sp._U
 
 PROV_CALIBRATED = "calibrated"
 PROV_MMS = "mms_closed_form"
@@ -70,15 +78,6 @@ def mms_constant(n: int, *, chamber: bool = True) -> float:
         if log_c > math.log(sys.float_info.max):
             raise RankTooLarge(f"the Gaussian constant at rank {n} exceeds binary64")
     return (2.0 * math.pi) ** (m / 2.0) * math.prod(math.factorial(j) for j in range(1, top + 1))
-
-
-def _log_images_T(xv: np.ndarray, Y: np.ndarray, inv2t: float) -> np.ndarray:
-    """log of sum_w eps(w) exp(-(|X - wY|^2 - |X - Y|^2) / 4t) on a Y batch.
-
-    Nonpositive roundoff results (possible when Y sits almost on a wall) are
-    returned as -inf; their true contribution is below roundoff anyway.
-    """
-    return log_positive(rs.weyl_alt_terms(xv, Y, inv2t).sum(axis=-1))
 
 
 def _log_c_prime(n: int, c_k: float) -> float:
@@ -137,7 +136,7 @@ def _mass_with_unit_constant(n: int, t: float, xv: np.ndarray, order: int, panel
         for i in range(d):
             for j in range(i + 1, d):
                 logpi += log_positive(Y[..., i] - Y[..., j])
-        return -quad / (4.0 * t) + logpi + _log_images_T(xv, Y, inv2t)
+        return -quad / (4.0 * t) + logpi + rs.log_alt_sum(xv, Y, inv2t)
 
     radius = math.sqrt(4.0 * t * (math.log(1e14) + 8.0)) + 2.0
     lo = float(xv.min()) - radius
@@ -205,19 +204,56 @@ def _points(x, y, ctx: Optional[HeatContext] = None) -> tuple[np.ndarray, np.nda
 
 
 def heat_flat(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -> sp.EvalResult:
-    """log of p_t(X, Y) through the stable spherical evaluator."""
+    """log of p_t(X, Y): for strictly dominant X and Y the signed image sum
+    log C' - (d/2) log t - |X-Y|^2/4t + log T - log pi(X) - log pi(Y) of
+    images_oracle, whose T is psi's alternating sum at (X, Y/2t), on psi's
+    rungs: binary64 when the plan allows it and the bound meets the target
+    (T <= 0 escalates), else the determinant with Y/2t formed in mpmath.
+    Ties (a gap at most DEFAULT_DEGENERATE_TOL) take _heat_tied."""
     rs.check_positive(t, "t")
+    rs.check_positive(target_log_err, "target_log_err")
     xv, yv = _points(x, y, ctx)
-    res = sp.psi_stable(xv, yv / (2.0 * t), target_log_err)
-    log_value = (
-        -(ctx.gamma + ctx.d / 2.0) * math.log(2.0)
-        - math.log(ctx.c_k)
-        - (ctx.d / 2.0 + ctx.gamma) * math.log(t)
-        - (float(xv @ xv) + float(yv @ yv)) / (4.0 * t)
-        + res.log_value
-    )
-    err = res.abs_log_error + 8.0 * np.finfo(float).eps * (1.0 + abs(log_value))
-    return sp.EvalResult(log_value, res.method, err, res.mc_std_error)
+    rs.check_rank(ctx.n)
+    ax, ay = rs.root_values(xv), rs.root_values(yv)
+    if min(ax.min(), ay.min()) <= sp.DEFAULT_DEGENERATE_TOL:
+        return _heat_tied(ctx, t, xv, yv, target_log_err)
+
+    def rung(bits: int) -> sp.EvalResult:
+        if bits <= 53:
+            return _images_float(ctx, t, xv, yv)
+        _, log_T = sp._psi_log_mp(xv, yv, bits, 2 * mp.mpf(t))
+        return _images_result(ctx, t, xv, yv, log_T, sp.METHOD_ALT_EXT)
+
+    # psi's cancellation estimate at (X, Y/2t); inf once 2t / (ax ay) overflows
+    bits = sum(math.log2(1.0 + 2.0 * t / p) for p in (ax * ay).tolist())
+    return sp._planned_ladder(rung, bits, xv.size, target_log_err)
+
+
+def _heat_tied(ctx: HeatContext, t: float, xv: np.ndarray, yv: np.ndarray,
+               target: float) -> sp.EvalResult:
+    """heat_flat on ties: psi_stable(X, Y/2t) under the front -log c - (gamma
+    + d/2) log 2t - g, g = (|X|^2 + |Y|^2)/4t.  The front rounds by 2u |log c|,
+    3u |(gamma + d/2) log 2t| and 3u g; rounding Y/2t moves log psi_X by at
+    most max|X| sum_j u |y_j/2t| (d log psi_X(Z)/dz_j lies in [x_m, x_1]).
+    These grow as 1/t: at small t the target is missed, and that raises."""
+    log_c = math.log(ctx.c_k)
+    power = (ctx.gamma + ctx.d / 2.0) * math.log(2.0 * t)
+    g = math.fsum([*(xv * xv).tolist(), *(yv * yv).tolist()]) / (4.0 * t)
+    ys = yv / (2.0 * t)
+    res = sp.psi_stable(xv, ys, target)
+    log_value = math.fsum([-log_c, -power, -g, res.log_value])
+    move = float(max(-xv[-1], xv[0]) * np.abs(ys).sum()) * (1.0 + 2.0 * xv.size * _U)
+    err = res.abs_log_error + _U * (2.0 * abs(log_c) + 3.0 * abs(power) + 3.0 * g + move
+                                    + abs(log_value))
+    return _enforce(sp.EvalResult(log_value, res.method, err, res.mc_std_error), target)
+
+
+def _enforce(res: sp.EvalResult, target: float) -> sp.EvalResult:
+    """res if it meets the target (as psi_stable counts it), else ToleranceUnachievable."""
+    if not sp._meets(res, target):
+        raise ToleranceUnachievable(
+            f"declared log error {res.abs_log_error:.3g} misses the target {target:.3g}")
+    return res
 
 
 def heat_envelope(t: float, x, y) -> float:
@@ -237,26 +273,33 @@ def _envelope_rows(t: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
             - np.sum(np.log(t[:, None] + prods), axis=-1))
 
 
-def _log_curved_prefactor(t: float, xv: np.ndarray, yv: np.ndarray, n: int) -> float:
-    rgh = rs.rho(n).array()
-    ax = rs.root_values(xv)
-    ay = rs.root_values(yv)
-    if np.any(ax <= 0.0) or np.any(ay <= 0.0):
+def _log_curved_prefactor(t: float, xv: np.ndarray, yv: np.ndarray, n: int) -> tuple[float, float]:
+    """log of e^{-|rho|^2 t} pi(X) pi(Y) / prod sinh alpha(X) sinh alpha(Y) in
+    one math.fsum, and its rounding bound: u |rho|^2 t; per root value a
+    (relative u), u (1 + 2 |log a|) for log a and u (5 + a + 3 |log sinh a|)
+    for log_sinh (u a coth a <= u (1 + a) from a, 4u + 3u |.| its own); u |sum|."""
+    a = np.concatenate([rs.root_values(xv), rs.root_values(yv)])
+    if np.any(a <= 0.0):
         raise DegenerateInput("curved kernel needs strictly dominant x and y")
-    return float(
-        -float(rgh @ rgh) * t
-        + np.sum(np.log(ax)) + np.sum(np.log(ay))
-        - np.sum(log_sinh(ax)) - np.sum(log_sinh(ay))
-    )
+    rgh = rs.rho(n).array()
+    decay = -float(rgh @ rgh) * t
+    la, ls = np.log(a), log_sinh(a)
+    pref = math.fsum([decay, *la.tolist(), *(-ls).tolist()])
+    err = _U * (abs(decay) + 6.0 * a.size + float((a + 2.0 * np.abs(la) + 3.0 * np.abs(ls)).sum())
+                + abs(pref))
+    return pref, err
 
 
 def heat_curved(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -> sp.EvalResult:
-    """Curved-side kernel: e^{-|rho|^2 t} pi(X)pi(Y)/(sinh-products) times p_t."""
+    """Curved-side kernel: e^{-|rho|^2 t} pi(X)pi(Y)/(sinh-products) times p_t;
+    heat_flat gets the target less the prefactor's rounding bound."""
+    rs.check_positive(t, "t")
     xv, yv = _points(x, y, ctx)
-    flat = heat_flat(ctx, t, xv, yv, target_log_err)
-    pref = _log_curved_prefactor(t, xv, yv, ctx.n)
-    return sp.EvalResult(pref + flat.log_value, flat.method,
-                         flat.abs_log_error + 1e-14 * (1 + abs(pref)), flat.mc_std_error)
+    pref, pref_err = _log_curved_prefactor(t, xv, yv, ctx.n)
+    flat = heat_flat(ctx, t, xv, yv, max(target_log_err - pref_err, 0.5 * target_log_err))
+    log_value = pref + flat.log_value
+    return _enforce(sp.EvalResult(log_value, flat.method, flat.abs_log_error + pref_err
+                                  + _U * abs(log_value), flat.mc_std_error), target_log_err)
 
 
 def heat_curved_envelope(t: float, x, y) -> float:
@@ -282,33 +325,54 @@ def heat_curved_envelope(t: float, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 def images_oracle(ctx: HeatContext, t: float, x, y) -> sp.EvalResult:
-    """Signed-image evaluation of p_t: a code path independent of psi.
+    """Signed-image evaluation of p_t in binary64: heat_flat's first rung.
 
     p_t(X,Y) = C' t^{-d/2} sum_w eps(w) e^{-|X - wY|^2/4t} / (pi(X) pi(Y)),
     C' = pi(rho) / (2^{gamma+d/2} c).  As |X - wY|^2 = |X - Y|^2 + 2 <X, Y - wY>,
-    the image sum is e^{-|X-Y|^2/4t} times rs.weyl_alt_sum at scale 1/2t,
-    accurate far from the origin.  The parts are added in one math.fsum; the
-    bound adds to the image sum's (d + 3) u |X-Y|^2/4t for the Gaussian, 3u
-    |(d/2) log t|, u + 2u |log alpha| per root value, u + 3u |log C'| + 2u d
-    log 2 for the constant, and u |log p| for the fsum.
+    the image sum is e^{-|X-Y|^2/4t} times T = rs.weyl_alt_sum at scale 1/2t,
+    accurate far from the origin.  Ties, and a T that lost all significance,
+    raise DegenerateInput.
     """
     rs.check_positive(t, "t")
     xv, yv = _points(x, y, ctx)
     if np.min(xv[:-1] - xv[1:]) <= 0.0 or np.min(yv[:-1] - yv[1:]) <= 0.0:
         raise DegenerateInput("images oracle needs strictly dominant x and y")
-    T, err = rs.weyl_alt_sum(xv, yv, 1.0 / (2.0 * t))
-    if T <= 0.0:
+    res = _images_float(ctx, t, xv, yv)
+    if math.isnan(res.log_value):
         raise DegenerateInput("image sum lost all significance (arguments too close to a wall)")
-    log_T, err = sp._log_bound(T, err)
-    gauss = -float(((xv - yv) ** 2).sum()) / (4.0 * t)
+    return res
+
+
+def _images_float(ctx: HeatContext, t: float, xv: np.ndarray, yv: np.ndarray) -> sp.EvalResult:
+    """The binary64 rung; a T <= 0 gives a nan value with an infinite bound."""
+    T, err = rs.weyl_alt_sum(xv, yv, 1.0 / (2.0 * t))
+    log_T = sp._log_bound(T, err) if T > 0.0 else (math.nan, math.inf)
+    return _images_result(ctx, t, xv, yv, log_T, sp.METHOD_ALT)
+
+
+def _images_result(ctx: HeatContext, t: float, xv: np.ndarray, yv: np.ndarray,
+                   log_T: tuple[float, float], method: str) -> sp.EvalResult:
+    """log p from (log T, its bound), in one math.fsum.  |X-Y|^2 is exactly
+    p + q + 2de + e^2 (TwoSum differences d + e, Dekker's d^2 = p + q; the
+    last two terms off by 2u^2 d^2), each divided by 4t once: u (1 + 8mu) of
+    their sizes.  The bound adds 3u |(d/2) log t|, u + 2u |log alpha| per root
+    value, u + 3u |log C'| + 2u d log 2 and u |log p| (the fsum).  An
+    |X-Y|^2/4t past binary64 raises ToleranceUnachievable."""
+    gauss = []
+    for a, b in zip(xv.tolist(), yv.tolist()):
+        d, e = _two_sum(a, -b)
+        gauss.extend(v / (-4.0 * t) for v in (*_two_prod(d, d), 2.0 * d * e, e * e))
+    g = sum(abs(v) for v in gauss)
+    if not g < math.inf:
+        raise ToleranceUnachievable("|X-Y|^2/4t exceeds binary64")
     power = (ctx.d / 2.0) * math.log(t)
     const = _log_c_prime(ctx.n, ctx.c_k)
     logs = np.log(np.concatenate([rs.root_values(xv), rs.root_values(yv)]))
-    log_value = math.fsum([const, -power, gauss, log_T, *(-logs).tolist()])
-    err += rs._U * (
-        (ctx.d + 3.0) * abs(gauss) + 3.0 * abs(power) + 1.0 + 3.0 * abs(const)
+    log_value = math.fsum([const, -power, *gauss, log_T[0], *(-logs).tolist()])
+    err = log_T[1] + _U * (
+        (1.0 + 8.0 * xv.size * _U) * g + 3.0 * abs(power) + 1.0 + 3.0 * abs(const)
         + 2.0 * ctx.d * math.log(2.0) + logs.size + 2.0 * float(np.abs(logs).sum()) + abs(log_value))
-    return sp.EvalResult(log_value, sp.METHOD_ALT, err)
+    return sp.EvalResult(log_value, method, err)
 
 
 @lru_cache(maxsize=8)
@@ -429,8 +493,8 @@ def semigroup_check(ctx: HeatContext, t: float, s: float, x, y, tol: float = 1e-
         qs = ((Z - yv) ** 2).sum(axis=-1) / (4.0 * s)
         return (
             -qt - qs
-            + _log_images_T(xv, Z, 1.0 / (2.0 * t))
-            + _log_images_T(yv, Z, 1.0 / (2.0 * s))
+            + rs.log_alt_sum(xv, Z, 1.0 / (2.0 * t))
+            + rs.log_alt_sum(yv, Z, 1.0 / (2.0 * s))
         )
 
     radius = math.sqrt(4.0 * max(t, s) * (math.log(1e14) + 8.0)) + 2.0

@@ -17,10 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
+from ._quad import log_positive
 from .errors import DominanceError, RankTooLarge
 
 # Cap on the rank for any operation that enumerates the Weyl group;
@@ -89,13 +90,6 @@ class ChamberPoint:
                 raise DominanceError(f"coordinates must be weakly decreasing: {c}")
         object.__setattr__(self, "coords", c)
 
-    @classmethod
-    def from_unsorted(cls, seq: Iterable[float]) -> tuple["ChamberPoint", bool]:
-        """Sort into the chamber; the flag reports whether input was already sorted."""
-        vals = [float(v) for v in seq]
-        srt = sorted(vals, reverse=True)
-        return cls(tuple(srt)), vals == srt
-
     @property
     def rank(self) -> int:
         return len(self.coords) - 1
@@ -111,55 +105,11 @@ class ChamberPoint:
     def min_gap(self) -> float:
         return float(self.gaps().min())
 
-    def is_strictly_dominant(self, tol: float = 0.0) -> bool:
-        return bool(self.min_gap() > tol)
-
     def __len__(self) -> int:
         return len(self.coords)
 
     def __iter__(self):
         return iter(self.coords)
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """A permutation w of the coordinate slots together with its sign.
-
-    The action on a vector X is (w X)_{perm[j]} = X_j, i.e. slot j is sent to
-    slot perm[j]; equivalently (w X)_i = X_{perm^{-1}(i)}.  perm is 0-based.
-    """
-
-    perm: tuple[int, ...]
-    sign: int
-
-    def apply(self, x) -> np.ndarray:
-        xv = np.asarray(x, float)
-        out = np.empty_like(xv)
-        out[np.asarray(self.perm)] = xv
-        return out
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == p for i, p in enumerate(self.perm))
-
-
-def permutation_sign(perm: Sequence[int]) -> int:
-    """Parity of a permutation via cycle decomposition."""
-    n = len(perm)
-    seen = [False] * n
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _signs_from_rows(perms: np.ndarray) -> np.ndarray:
@@ -249,6 +199,13 @@ def weyl_alt_terms(a, b, scale=1.0) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=-1)
 
 
+def log_alt_sum(a, b, scale=1.0) -> np.ndarray:
+    """log of the row sums of weyl_alt_terms(a, b, scale), -inf where a sum
+    is not positive (a row almost on a wall: its true value is below the
+    roundoff)."""
+    return log_positive(weyl_alt_terms(a, b, scale).sum(axis=-1))
+
+
 def weyl_alt_sum(a, b, scale: float = 1.0) -> tuple[float, float]:
     """(T, bound) for one dominant pair: the math.fsum T of weyl_alt_terms and a
     first-order bound on its error.  A term t_w is off by u (2m + 2) scale D_w
@@ -263,19 +220,6 @@ def weyl_alt_sum(a, b, scale: float = 1.0) -> tuple[float, float]:
         t_blocks.append(e * signs)
     T = math.fsum(itertools.chain.from_iterable(t.tolist() for t in t_blocks))
     return T, _U * ((2 * np.shape(a)[-1] + 2) * S + 2.0 * A + abs(T))
-
-
-@dataclass(frozen=True)
-class RootSystemAn:
-    """The A_n data: positive roots as index pairs, gamma = |Sigma^+|, rho."""
-
-    rank: int
-    positive_roots: tuple[tuple[int, int], ...]
-    gamma: int
-    rho: ChamberPoint
-
-    def weyl_order(self) -> int:
-        return math.factorial(self.rank + 1)
 
 
 def positive_roots(n: int) -> list[tuple[int, int]]:
@@ -294,25 +238,8 @@ def rho(n: int) -> ChamberPoint:
     return ChamberPoint(tuple(float(n + 2 - 2 * i) for i in range(1, n + 2)))
 
 
-@lru_cache(maxsize=None)
-def root_system(n: int) -> RootSystemAn:
-    return RootSystemAn(
-        rank=n,
-        positive_roots=tuple(positive_roots(n)),
-        gamma=gamma(n),
-        rho=rho(n),
-    )
-
-
 def weyl_order(n: int) -> int:
     return math.factorial(n + 1)
-
-
-def weyl_elements(n: int) -> Iterator[WeylElement]:
-    """Stream all (n+1)! Weyl elements, each exactly once."""
-    check_rank(n)
-    for perm in itertools.permutations(range(n + 1)):
-        yield WeylElement(perm, permutation_sign(perm))
 
 
 def pi(x) -> float:
@@ -363,31 +290,22 @@ def root_values(x) -> np.ndarray:
     return v.take(i, axis=-1) - v.take(j, axis=-1)
 
 
-def decompose_diff(y, w: WeylElement) -> np.ndarray:
-    """Coefficients c with Y - wY = sum_i c_i alpha_i over the simple roots.
-
-    For the A_n family the coefficients are the partial sums of Y - wY; they
-    are nonnegative for dominant Y.
-    """
-    yv = as_coords(y, "Y")
-    diff = yv - w.apply(yv)
-    return np.cumsum(diff)[:-1]
-
-
-def min_weyl_pairing(lam, x) -> tuple[WeylElement, float]:
-    """argmin and min of <w lam, X> over the whole Weyl group (brute force)."""
+def min_weyl_pairing(lam, x) -> tuple[np.ndarray, float]:
+    """(P, min): a row P of the permutation table minimizing <w lam, X> over
+    the whole Weyl group (brute force), and that minimum, with
+    <w lam, X> = sum_j lam_j x_{P[j]}."""
     lv, xv = as_pair(lam, x)
     m = lv.size
     check_rank(m - 1)
     best_val = math.inf
     best_perm = None
     for rows, _signs in perm_sign_chunks(m):
-        vals = xv[rows] @ lv  # <w lam, X> = sum_j lam_j x_{perm(j)}
+        vals = xv[rows] @ lv
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val = float(vals[k])
-            best_perm = tuple(int(t) for t in rows[k])
-    return WeylElement(best_perm, permutation_sign(best_perm)), best_val
+            best_perm = rows[k].copy()
+    return best_perm, best_val
 
 
 def min_pairing_value(lam, x) -> float:
@@ -404,14 +322,6 @@ def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a, b> on the last axis, row by row, as a stacked matmul: on contiguous
     rows it rounds as np.dot does, which has no row-wise form."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def fundamental_weight(n: int, k: int) -> ChamberPoint:
-    """Dominant vector with alpha_j(omega_k) = delta_{jk} (trace-centered)."""
-    m = n + 1
-    v = np.full(m, -k / m)
-    v[:k] += 1.0
-    return ChamberPoint(tuple(v))
 
 
 def remark_bound_constant(n: int) -> float:

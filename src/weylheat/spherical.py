@@ -112,8 +112,9 @@ def _log_bound(T: float, err: float) -> tuple[float, float]:
     return log_T, (-math.log1p(-rel) if rel < 1.0 else math.inf) + 2.0 * _U * abs(log_T)
 
 
-def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
-    """log psi from the Harish-Chandra determinant in mpmath at prec bits.
+def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int, div=1.0):
+    """log psi and log T from the Harish-Chandra determinant in mpmath at prec
+    bits, each with its bound: ((log psi, bound), (log T, bound)).
 
     With m coordinates, lam' = lam - lam_m and x' = x - x_m,
         psi = (prod_{k<m} k!) det K e^{<lam, X> - <lam', x'>} / (pi(lam) pi(X)),
@@ -128,6 +129,9 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
     times the sum of |terms| of T, which is at most m! (every term is at
     most 1); hence the condition m!/T in the bound.  A pivot that is not
     positive means the precision was too low and raises.
+
+    x is divided by div in mpmath after x - x_m is formed (heat passes 2t), and
+    the bound's scale likewise; that rounding is within the bound's factor m.
     """
     m = lv.size
     with mp.workprec(int(prec)):
@@ -135,6 +139,9 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
         x = [mp.mpf(b) for b in xv.tolist()]
         lp = [a - lam[-1] for a in lam[:-1]]
         xp = [b - x[-1] for b in x[:-1]]
+        if div != 1.0:
+            xp = [b / div for b in xp]
+            x = [b / div for b in x]
         E = [[mp.exp(a * b) - 1 for b in xp] for a in lp]
         det = mp.mpf(1)
         for k in range(m - 1):
@@ -156,14 +163,15 @@ def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int):
         shift = mp.fsum(a * b for a, b in zip(lam, x)) - pairing
         out = float(mp.log(rs._superfactorial(m) * det / vander) + shift)
         log_T = float(mp.log(det) - pairing)
+    dv = float(div)
     base = float(np.dot(lv, xv))
     spread = base - float(rs._min_pairing(lv, xv))
-    scale = 4.0 + abs(base) + spread + float((lv[0] - lv[-1]) * (xv[0] - xv[-1]))
-    log_err = (math.log(m * m * scale) + (2 - prec) * math.log(2.0)
+    scale = 4.0 * dv + abs(base) + spread + float((lv[0] - lv[-1]) * (xv[0] - xv[-1]))
+    log_err = (math.log(m * m * scale) - math.log(dv) + (2 - prec) * math.log(2.0)
                + math.lgamma(m + 1) - log_T)
     err = math.exp(log_err) if log_err < 709.0 else math.inf
-    err += 0.75 * _EPS * (1.0 + abs(out))  # final float rounding
-    return out, err
+    # plus the final float rounding of each
+    return (out, err + 0.75 * _EPS * (1.0 + abs(out))), (log_T, err + _U * abs(log_T))
 
 
 def _psi_log_float(lv: np.ndarray, xv: np.ndarray, roots: np.ndarray) -> tuple[float, float]:
@@ -223,7 +231,7 @@ def psi_alt_sum(lam, x, precision_bits: int = 53) -> EvalResult:
     if precision_bits <= 53:
         log_value, err = _psi_log_float(lv, xv, np.concatenate([al, ax]))
         return EvalResult(log_value, METHOD_ALT, err)
-    log_value, err = _psi_log_mp(lv, xv, precision_bits)
+    (log_value, err), _ = _psi_log_mp(lv, xv, precision_bits)
     return EvalResult(log_value, METHOD_ALT_EXT, err)
 
 
@@ -242,6 +250,9 @@ _ITER_RUNGS = {
         ((24, 1), (16, 1)),
         ((32, 1), (20, 1)),
         ((40, 1), (26, 1)),
+        ((56, 1), (36, 1)),
+        ((72, 1), (44, 1)),
+        ((96, 1), (56, 1)),
     ],
 }
 
@@ -261,6 +272,9 @@ _ITER_RUNGS = {
 #       most dc u (lam_1 - lam_m): 1 for one difference, 3 for two, 7 for
 #       the difference of two such.
 _CHAIN_ROUNDING = {2: (1.0, 0.0, 0.0, 1.0), 3: (5.0, 1.0, 5.0, 3.0), 4: (10.0, 2.0, 15.0, 7.0)}
+# Node values one block of the rank-3 chain sum holds; each value carries
+# about 150 bytes of temporaries, so a block stays near 10 MiB on every rung.
+_CHAIN_VALUES = 2 ** 16
 
 
 def _lse(t: np.ndarray, err: np.ndarray, axis: int = -1):
@@ -402,7 +416,13 @@ def _chain_log_G(lv: np.ndarray, xv: np.ndarray, levels):
     nu = mu[:-1] - mu[-1]
     y, below, above, o, eo = _chain_nodes(xv[1:], gaps, levels[0], mu[-1], bnd)
     width = below[:2, :, None] + above[1:, None, :]  # y_0 - y_1, y_1 - y_2
-    Q, P = _chain_links(nu, y[1:, None, :], y[:2, :, None], width, levels[1], bnd)
+    # in blocks of upper nodes, each holding at most _CHAIN_VALUES node values;
+    # every value is reduced over its own inner nodes only, so blocks change no bit
+    K = y.shape[-1]
+    step = max(1, _CHAIN_VALUES // (2 * K * levels[1][0] * levels[1][1]))
+    blocks = [_chain_links(nu, y[1:, None, :], y[:2, s:s + step, None], width[:, s:s + step],
+                           levels[1], bnd) for s in range(0, K, step)]
+    Q, P = (tuple(np.concatenate(a, axis=1) for a in zip(*(b[i] for b in blocks))) for i in (0, 1))
     first = (o[0][:, None], eo[0][:, None])
     last = (o[2][None, :], eo[2][None, :])
     uA, uC = (_lse(*_add(first, _at(F, 0)), axis=0) for F in (P, Q))
@@ -438,11 +458,12 @@ def psi_iter_quadrature(lam, x, tol: float = 1e-9) -> EvalResult:
     recursion, summed link by link (see _chain_log_G): 4K log-domain terms
     at rank 2 and 4 K^2 k at rank 3, with K and k nodes per coordinate of
     the outer and inner level.  On a 2-core x86-64 VM a rank-2 rung costs
-    0.2-0.4 ms and the rank-3 rungs 0.7-14 ms, where the product grid took
-    8 ms to 5.1 s.  The ladder stops when two rungs agree within tol (or 64
-    ulps); the declared error is their difference, an estimate of the rule's
-    error, plus a first-order bound on the rounding of the last rung's
-    evaluation.
+    0.2-0.4 ms; the rank-3 rungs cost 0.6-14 ms on the first five (the
+    product grid took 8 ms to 5.1 s) and 40-170 ms on the last three, which
+    only input the first five cannot settle reaches.  The ladder stops when
+    two rungs agree within tol (or 64 ulps); the declared error is their
+    difference, an estimate of the rule's error, plus a first-order bound on
+    the rounding of the last rung's evaluation.
     """
     lv, xv = rs.as_pair(lam, x)
     m = lv.size
@@ -638,7 +659,7 @@ def _psi_confluent(lv: np.ndarray, xv: np.ndarray, target: float) -> EvalResult:
         )
 
     def rung(bits: int) -> EvalResult:
-        log_value, err = _psi_log_mp(ls, xs, bits)
+        (log_value, err), _ = _psi_log_mp(ls, xs, bits)
         return EvalResult(log_value, METHOD_CONFLUENT, err + e_pert)
 
     return _ladder(rung, _plan_bits(_cancellation_bits(al * ax), m, target - e_pert)[1], target)
@@ -668,9 +689,10 @@ def _plan(lv: np.ndarray, xv: np.ndarray, target_rel_err: float) -> tuple[int, i
 
 
 def _plan_bits(bits: float, m: int, target_rel_err: float) -> tuple[int, int]:
-    """_plan for m coordinates whose cancellation estimate is bits."""
+    """_plan for m coordinates whose cancellation estimate is bits (heat's
+    grows without limit in t); past _MAX_PREC the ladder refuses it."""
     core = -math.log2(target_rel_err) + bits
-    prec = int(math.ceil(core)) + 64
+    prec = int(math.ceil(min(max(core, 0.0), _MAX_PREC))) + 64
     if core + 2.0 <= 53.0 and m < _DET_COORDS:
         return 53, prec
     return prec, prec
@@ -715,12 +737,20 @@ def psi_stable(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
     if min(al.min(), ax.min()) <= DEFAULT_DEGENERATE_TOL:
         return _psi_confluent(lv, xv, target_rel_err)
 
-    first, prec = _plan_bits(_cancellation_bits(al * ax), lv.size, target_rel_err)
+    return _planned_ladder(lambda bits: psi_alt_sum(lv, xv, bits),
+                           _cancellation_bits(al * ax), lv.size, target_rel_err)
+
+
+def _planned_ladder(rung, bits: float, m: int, target: float) -> EvalResult:
+    """psi_stable's and heat_flat's sequence: rung(53), binary64, when the plan
+    from the cancellation estimate allows it and it meets the target, else
+    the mpmath ladder from the planned precision."""
+    first, prec = _plan_bits(bits, m, target)
     if first == 53:
-        res = psi_alt_sum(lv, xv, 53)
-        if _meets(res, target_rel_err):
+        res = rung(53)
+        if _meets(res, target):
             return res
-    return _ladder(lambda bits: psi_alt_sum(lv, xv, bits), prec, target_rel_err)
+    return _ladder(rung, prec, target)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from . import factorization as fz
 from . import heat as ht
 from . import rootsystem as rs
 from . import spherical as sp
-from ._quad import log_positive
 from .errors import RankTooLarge, WeylHeatError
 
 SCHEMA_VERSION = 1
@@ -519,11 +518,6 @@ def sample_large_regime(rng, n: int, count: int) -> tuple:
     return lam, x
 
 
-def batch_log_alt_sum_T(lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """log of sum_w eps(w) e^{<w lam - lam, X>} for row-paired batches."""
-    return log_positive(rs.weyl_alt_terms(lams, xs).sum(axis=-1))
-
-
 @dataclass
 class PropReport:
     n: int
@@ -553,9 +547,14 @@ def prop_checks(n: int, samples: int = 1000, seed: int = 0) -> PropReport:
     minimal pairing, and (rank <= 3) factorization positivity and the rank
     recursion.  Failures are collected with counterexamples, not raised.
     """
+    rs.check_rank(n)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     m = n + 1
     props = []
+
+    def perms():
+        """The permutation table's rows, the identity first."""
+        return (perm for rows, _signs in rs.perm_sign_chunks(m) for perm in rows)
 
     # decomposition: nonnegative coefficients, exact reconstruction
     Y = sample_dominant(rng, n, samples)
@@ -567,8 +566,7 @@ def prop_checks(n: int, samples: int = 1000, seed: int = 0) -> PropReport:
     bad_recon = 0
     worst_recon = 0.0
     scale = 1.0 + np.abs(Y).max()
-    for w in rs.weyl_elements(n):
-        perm = np.asarray(w.perm)
+    for perm in perms():
         wy = np.empty_like(Y)
         wy[:, perm] = Y
         diff = Y - wy
@@ -587,10 +585,7 @@ def prop_checks(n: int, samples: int = 1000, seed: int = 0) -> PropReport:
     gl = lam[:, :-1] - lam[:, 1:]
     gx = X[:, :-1] - X[:, 1:]
     bad_pair = 0
-    for w in rs.weyl_elements(n):
-        if w.is_identity:
-            continue
-        perm = np.asarray(w.perm)
+    for perm in itertools.islice(perms(), 1, None):  # all but the identity
         wl = np.empty_like(lam)
         wl[:, perm] = lam
         c = np.cumsum(lam - wl, axis=1)[:, :-1]
@@ -604,8 +599,7 @@ def prop_checks(n: int, samples: int = 1000, seed: int = 0) -> PropReport:
 
     # dominance maximality: <w lam, X> <= <lam, X>
     bad_dom = 0
-    for w in rs.weyl_elements(n):
-        perm = np.asarray(w.perm)
+    for perm in perms():
         wl = np.empty_like(lam)
         wl[:, perm] = lam
         gap = np.einsum("sm,sm->s", lam - wl, X)
@@ -618,7 +612,7 @@ def prop_checks(n: int, samples: int = 1000, seed: int = 0) -> PropReport:
 
     # large regime: 1/2 e^{<lam,X>} <= alt sum <= |W| e^{<lam,X>}
     lamL, xL = sample_large_regime(rng, n, samples)
-    TL = batch_log_alt_sum_T(lamL, xL)
+    TL = rs.log_alt_sum(lamL, xL)
     w_count = rs.weyl_order(n)
     viol = int((TL < math.log(0.5) - 1e-12).sum() + (TL > math.log(w_count) + 1e-12).sum())
     props.append(_prop("large_regime_alt_sum_bounds", samples, viol, float(np.min(TL))))

@@ -9,7 +9,9 @@ from weylheat import heat as ht
 from weylheat import rootsystem as rs
 from weylheat import spherical as sp
 from weylheat._quad import tensor_blocks
-from weylheat.errors import DegenerateInput, PreconditionViolated, RankTooLarge
+from weylheat.errors import DegenerateInput, PreconditionViolated, RankTooLarge, ToleranceUnachievable
+
+from test_rootsystem import cycle_sign
 
 
 @pytest.fixture(scope="module")
@@ -177,14 +179,15 @@ def test_images_signed_sum_is_alternating():
 
 
 def signed_image_log_sum(ctx, t, xv, yv, prec=320):
-    """Oracle: log p_t from the signed image sum in mpmath, one image at a time."""
-    m = xv.size
+    """Oracle: log p_t from the signed image sum in mpmath at prec bits, one
+    image at a time; the coordinates may be floats or mpmath numbers."""
+    m = len(xv)
     with mp.workprec(prec):
-        x = [mp.mpf(float(v)) for v in xv]
-        y = [mp.mpf(float(v)) for v in yv]
+        x = [mp.mpf(v) for v in xv]
+        y = [mp.mpf(v) for v in yv]
         tt = mp.mpf(t)
         total = mp.fsum(
-            rs.permutation_sign(p) * mp.exp(-mp.fsum((x[j] - y[p[j]]) ** 2 for j in range(m)) / (4 * tt))
+            cycle_sign(p) * mp.exp(-mp.fsum((x[j] - y[p[j]]) ** 2 for j in range(m)) / (4 * tt))
             for p in itertools.permutations(range(m)))
         rho = [mp.mpf(float(v)) for v in rs.rho(ctx.n).array()]
         pi = lambda v: mp.fprod(v[i] - v[j] for i in range(m) for j in range(i + 1, m))
@@ -206,6 +209,88 @@ def test_images_oracle_honest_far_from_origin(ctx1, ctx2, ctx3):
             with mp.workprec(320):
                 gap = abs(mp.mpf(res.log_value) - ref)
                 assert gap <= res.abs_log_error + mp.mpf(2) ** -300 * (1 + abs(ref)), (ctx.n, shift)
+
+
+CONTRACT_TIMES = (1e-300, 1e-100, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12)
+
+
+def _assert_within(res, ref, target):
+    """res lies within its bound of the mpmath reference, and its bound meets
+    the target up to the binary64 floor 2 eps (1 + |log p|)."""
+    with mp.workprec(1400):
+        assert abs(mp.mpf(res.log_value) - ref) <= res.abs_log_error, (res, ref)
+    assert res.abs_log_error <= target + 2 * sp._EPS * (1 + abs(res.log_value)), res
+
+
+def _contract_pairs(seed, count):
+    """Seeded strictly dominant pairs at ranks 1-3: gaps 0.1-3 about a normal
+    shift, y on its own scale."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 1 + i % 3
+        x = np.cumsum(10 ** rng.uniform(-1, 0.5, n + 1))[::-1] + rng.normal()
+        y = np.cumsum(10 ** rng.uniform(-1, 0.5, n + 1))[::-1] + rng.normal() * 3
+        yield n, x, y
+
+
+@pytest.mark.parametrize("t", CONTRACT_TIMES)
+def test_heat_flat_keeps_its_contract_against_the_image_sum(t, ctx1, ctx2, ctx3):
+    ctxs = {1: ctx1, 2: ctx2, 3: ctx3}
+    for n, x, y in _contract_pairs(61, 9):
+        res = ht.heat_flat(ctxs[n], t, x, y)
+        _assert_within(res, signed_image_log_sum(ctxs[n], t, x, y, 1400), 1e-12)
+
+
+def test_heat_flat_on_the_sentinel_inputs(ctx1):
+    # near the diagonal at small t, and at t = 1e-300, the psi form cancelled
+    # terms of size (|X|^2+|Y|^2)/4t and missed or overflowed its bound
+    for t, x, y in ((1e-8, [10.0, 0.0], [10.0 + 1e-5, 0.0]), (1e-300, [1.0, 0.0], [1.0, 0.0]),
+                    (1e-8, [10.0, 5.0, 0.0], [9.5, 5.2, 0.1])):
+        ctx = ctx1 if len(x) == 2 else ht.make_heat_context(2)
+        res = ht.heat_flat(ctx, t, np.array(x), np.array(y))
+        _assert_within(res, signed_image_log_sum(ctx, t, np.array(x), np.array(y), 1400), 1e-12)
+
+
+def test_heat_flat_constant_side_is_exact(ctx2):
+    # y = c 1: p = t^{-d/2-gamma} e^{-|X - c 1|^2/4t} / (2^{gamma+d/2} c_k)
+    for t, x, c in ((0.8, [2.0, 0.5, 0.0], 0.0), (0.3, [1.0, 0.2, -0.4], 1.5), (20.0, [3.0, 1.0, 0.5], -2.0)):
+        res = ht.heat_flat(ctx2, t, np.array(x), np.full(3, c))
+        with mp.workprec(1400):
+            tt = mp.mpf(t)
+            ref = (-mp.log(mp.mpf(ctx2.c_k)) - (ctx2.gamma + mp.mpf(ctx2.d) / 2) * mp.log(2 * tt)
+                   - mp.fsum((mp.mpf(v) - c) ** 2 for v in x) / (4 * tt))
+        _assert_within(res, ref, 1e-12)
+
+
+def test_heat_flat_on_a_generic_tie(ctx2):
+    # the reference spreads the tie by 1e-100 in mpmath, where the kernel is
+    # smooth; a small t raises rather than overclaim
+    x = [2.0, 0.7, 0.7]
+    y = [1.9, 1.1, -0.4]
+    for t in (1e-4, 0.05, 1.0, 30.0):
+        with mp.workprec(1400):
+            xs = [mp.mpf(2.0), mp.mpf(0.7) + mp.mpf(10) ** -100, mp.mpf(0.7) - mp.mpf(10) ** -100]
+            ref = signed_image_log_sum(ctx2, t, xs, y, 1400)
+        try:
+            res = ht.heat_flat(ctx2, t, np.array(x), np.array(y))
+        except ToleranceUnachievable:
+            assert t < 0.05
+            continue
+        _assert_within(res, ref, 1e-12)
+
+
+def test_heat_curved_keeps_its_contract(ctx1, ctx2, ctx3):
+    ctxs = {1: ctx1, 2: ctx2, 3: ctx3}
+    for i, (n, x, y) in enumerate(_contract_pairs(62, 9)):
+        t = (1e-8, 1e-2, 1.0, 50.0)[i % 4]
+        res = ht.heat_curved(ctxs[n], t, x, y)
+        with mp.workprec(1400):
+            rho = [mp.mpf(v) for v in rs.rho(n).array()]
+            roots = [mp.mpf(v[a]) - mp.mpf(v[b]) for v in (x, y)
+                     for a in range(n + 1) for b in range(a + 1, n + 1)]
+            pref = -mp.fsum(r * r for r in rho) * t + mp.fsum(mp.log(a / mp.sinh(a)) for a in roots)
+            ref = pref + signed_image_log_sum(ctxs[n], t, x, y, 1400)
+        _assert_within(res, ref, 1e-12)
 
 
 def test_images_long_time_vanishes(ctx1):

@@ -41,29 +41,40 @@ def test_pi_values():
 def test_chamber_point_validation():
     p = rs.ChamberPoint((2.0, 1.0, 1.0))
     assert p.rank == 2
-    assert not p.is_strictly_dominant()
+    assert p.min_gap() == 0.0
     with pytest.raises(DominanceError):
         rs.ChamberPoint((1.0, 2.0))
-    q, was_sorted = rs.ChamberPoint.from_unsorted([1.0, 2.0])
-    assert q.coords == (2.0, 1.0) and not was_sorted
+
+
+def cycle_sign(perm):
+    """Oracle: the parity of a permutation from its cycle decomposition."""
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def table_rows(n):
+    """The rows of the permutation table of S_{n+1}, as a (|W|, n+1) array."""
+    return np.concatenate([rows for rows, _signs in rs.perm_sign_chunks(n + 1)])
 
 
 def test_weyl_enumeration_counts_and_signs():
     for n in (1, 2, 3):
-        elems = list(rs.weyl_elements(n))
-        assert len(elems) == math.factorial(n + 2 - 1)
-        assert len({e.perm for e in elems}) == len(elems)
-        assert sum(e.sign for e in elems) == 0
+        rows, signs = zip(*rs.perm_sign_chunks(n + 1))
+        rows, signs = np.concatenate(rows), np.concatenate(signs)
+        assert len(rows) == math.factorial(n + 1)
+        assert len({tuple(r) for r in rows}) == len(rows)
+        assert signs.sum() == 0
     with pytest.raises(RankTooLarge):
-        list(rs.weyl_elements(9))
-
-
-def test_weyl_action_convention():
-    w = rs.WeylElement((1, 2, 0), rs.permutation_sign((1, 2, 0)))
-    x = np.array([10.0, 20.0, 30.0])
-    out = w.apply(x)
-    # slot j goes to slot perm[j]
-    assert out.tolist() == [30.0, 10.0, 20.0]
+        rs.remark_bound_constant(9)
 
 
 def test_perm_sign_chunks_match_scalar_parity():
@@ -71,7 +82,7 @@ def test_perm_sign_chunks_match_scalar_parity():
         rows_all = []
         for rows, signs in rs.perm_sign_chunks(m):
             for r, s in zip(rows, signs):
-                assert rs.permutation_sign(tuple(r)) == int(s)
+                assert cycle_sign(tuple(r)) == int(s)
                 rows_all.append(tuple(r))
         assert len(rows_all) == math.factorial(m)
 
@@ -83,7 +94,7 @@ def brute_alt_sum(a, b, scale):
     total = 0.0
     for perm in itertools.permutations(range(m)):
         e = scale * (sum(a[j] * b[perm[j]] for j in range(m)) - base)
-        total += rs.permutation_sign(perm) * cmath.exp(e)
+        total += cycle_sign(perm) * cmath.exp(e)
     return total
 
 
@@ -150,13 +161,10 @@ def test_streamed_deficit_blocks_match_direct_construction():
 
 
 def remark_bound_by_decomposition(n):
-    """Oracle: the largest row sum of decompose_diff over the fundamental weights."""
-    weights = [rs.fundamental_weight(n, k) for k in range(1, n + 1)]
-    c_max = 0.0
-    for w in rs.weyl_elements(n):
-        cols = np.stack([rs.decompose_diff(om, w) for om in weights], axis=1)
-        c_max = max(c_max, float(cols.sum(axis=1).max(initial=0.0)))
-    return c_max
+    """Oracle: the largest row sum of the decomposition coefficients of the
+    fundamental weights, from their definition (direct_deficits)."""
+    rows = np.array(list(itertools.permutations(range(n + 1))))
+    return float(direct_deficits(rows).sum(axis=2).max(initial=0.0))
 
 
 def test_remark_bound_constant_matches_decomposition_loop():
@@ -176,53 +184,32 @@ def test_non_finite_coordinates_rejected():
         rs.as_coords([0.0, 1.0])
 
 
-def test_decompose_diff_identity_and_transposition():
-    ident = rs.WeylElement((0, 1), 1)
-    assert np.allclose(rs.decompose_diff([3.0, 1.0], ident), [0.0])
-    swap = rs.WeylElement((1, 0), -1)
-    y = np.array([3.0, 1.0])
-    c = rs.decompose_diff(y, swap)
-    assert np.allclose(c, [2.0])  # y1 - y2
+def simple_roots(n):
+    """The simple roots alpha_i = e_i - e_{i+1} as the rows of an (n, n+1) array."""
+    simple = np.zeros((n, n + 1))
+    for i in range(n):
+        simple[i, i] = 1.0
+        simple[i, i + 1] = -1.0
+    return simple
 
 
 def test_decompose_diff_reconstruction_and_nonnegativity():
+    # Y - wY = sum_i c_i alpha_i with c = N_w alpha(Y) >= 0 from the deficit
+    # table, wY = Y[P] for a table row P; the partial sums of Y - wY agree
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 4):
-        m = n + 1
-        simple = np.zeros((n, m))
-        for i in range(n):
-            simple[i, i] = 1.0
-            simple[i, i + 1] = -1.0
+        rows, _signs, tab = rs._perm_table(n + 1)
+        simple = simple_roots(n)
         for _ in range(40):
             gaps = rng.uniform(0.0, 3.0, n)
             y = np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]])
             y += rng.normal()
-            for w in rs.weyl_elements(n):
-                c = rs.decompose_diff(y, w)
-                assert np.all(c >= -1e-12 * (1 + np.abs(y).max()))
-                recon = c @ simple
-                assert np.allclose(recon, y - w.apply(y), atol=1e-12 * (1 + np.abs(y).max()))
-
-
-def test_decompose_solves_linear_system_n2():
-    # brute-force least squares against the simple-root matrix
-    y = np.array([2.0, 1.0, 0.0])
-    w = rs.WeylElement((1, 2, 0), rs.permutation_sign((1, 2, 0)))  # 3-cycle
-    simple = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-    c_ls, *_ = np.linalg.lstsq(simple.T, y - w.apply(y), rcond=None)
-    c = rs.decompose_diff(y, w)
-    assert np.allclose(c, c_ls, atol=1e-12)
-    assert np.all(c >= 0.0)
-
-
-def test_fundamental_weights_are_dual_to_simple_roots():
-    for n in (1, 2, 3):
-        for k in range(1, n + 1):
-            om = rs.fundamental_weight(n, k).array()
-            gaps = om[:-1] - om[1:]
-            expect = np.zeros(n)
-            expect[k - 1] = 1.0
-            assert np.allclose(gaps, expect, atol=1e-14)
+            tol = 1e-12 * (1 + np.abs(y).max())
+            for P, N in zip(rows, tab.transpose(2, 0, 1)):
+                c = N @ (y[:-1] - y[1:])
+                assert np.all(c >= 0.0)
+                assert np.allclose(c, np.cumsum(y - y[P])[:-1], atol=tol)
+                assert np.allclose(c @ simple, y - y[P], atol=tol)
 
 
 def test_remark_bound_constant_finite_and_integer():
@@ -238,19 +225,19 @@ def test_min_weyl_pairing_against_bruteforce_and_reversal():
         for _ in range(10):
             lam = np.sort(rng.uniform(-2, 4, n + 1))[::-1]
             x = np.sort(rng.uniform(-2, 4, n + 1))[::-1]
-            w, val = rs.min_weyl_pairing(lam, x)
+            P, val = rs.min_weyl_pairing(lam, x)
             brute = min(
-                float(np.dot(e.apply(lam), x)) for e in rs.weyl_elements(n)
+                float(np.dot(lam, x[list(p)])) for p in itertools.permutations(range(n + 1))
             )
             assert abs(val - brute) < 1e-12
             assert abs(val - rs.min_pairing_value(lam, x)) < 1e-12
-            assert abs(float(np.dot(w.apply(lam), x)) - val) < 1e-12
+            assert abs(float(np.dot(lam, x[P])) - val) < 1e-12  # sum_j lam_j x_{P[j]}
 
 
 def test_pairing_zero_cases():
-    w, val = rs.min_weyl_pairing([1.0, 0.0], [1.0, 0.0])
+    _P, val = rs.min_weyl_pairing([1.0, 0.0], [1.0, 0.0])
     assert abs(val) < 1e-15  # reversed pairing <(0,1),(1,0)> = 0
-    _w2, v2 = rs.min_weyl_pairing([0.0, 0.0], [5.0, -1.0])
+    _P2, v2 = rs.min_weyl_pairing([0.0, 0.0], [5.0, -1.0])
     assert abs(v2) < 1e-15
 
 
@@ -260,8 +247,8 @@ def test_dominance_maximality():
         lam = np.sort(rng.uniform(0, 3, n + 1))[::-1]
         x = np.sort(rng.uniform(0, 3, n + 1))[::-1]
         top = float(np.dot(lam, x))
-        for w in rs.weyl_elements(n):
-            assert float(np.dot(w.apply(lam), x)) <= top + 1e-12
+        for P in table_rows(n):
+            assert float(np.dot(lam[P], x)) <= top + 1e-12
 
 
 def test_pairing_inequality_with_decomposition():
@@ -273,11 +260,9 @@ def test_pairing_inequality_with_decomposition():
             gx = rng.uniform(0.05, 2.0, n)
             lam = np.concatenate([np.cumsum(gl[::-1])[::-1], [0.0]])
             x = np.concatenate([np.cumsum(gx[::-1])[::-1], [0.0]])
-            for w in rs.weyl_elements(n):
-                if w.is_identity:
-                    continue
-                c = rs.decompose_diff(lam, w)
-                lhs = float(np.dot(lam - w.apply(lam), x))
+            for P in table_rows(n)[1:]:  # all but the identity
+                c = np.cumsum(lam - lam[P])[:-1]
+                lhs = float(np.dot(lam - lam[P], x))
                 for i in range(n):
                     if c[i] > 1e-11:
                         assert lhs >= gl[i] * gx[i] - 1e-9

@@ -150,7 +150,7 @@ def test_each_sample_checks_its_vectors_a_few_times(monkeypatch):
     calls[0] = 0
     [(rec, _)] = vf._heat_block((0, np.array([[1.3, 0.7]]), np.array([[1.1, 0.4]]), np.array([0.5]),
                                  1e-9, 1.0, ctx))
-    assert rec.error is None and calls[0] <= 6  # heat_flat's pair check, then psi_stable
+    assert rec.error is None and calls[0] <= 2  # heat_flat's pair check
 
 
 def _per_sample_gaps(config, with_t):
