@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from . import rootsystem as rs
@@ -208,8 +208,8 @@ def heat_flat(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -
     log C' - (d/2) log t - |X-Y|^2/4t + log T - log pi(X) - log pi(Y) of
     images_oracle, whose T is psi's alternating sum at (X, Y/2t), on psi's
     rungs: binary64 when the plan allows it and the bound meets the target
-    (T <= 0 escalates), else the determinant with Y/2t formed in mpmath.
-    Ties (a gap at most DEFAULT_DEGENERATE_TOL) take _heat_tied."""
+    (T <= 0 escalates), else psi's determinant rung with div = 2t, Y/2t formed
+    at its precision.  Ties (a gap at most DEFAULT_DEGENERATE_TOL) take _heat_tied."""
     rs.check_positive(t, "t")
     rs.check_positive(target_log_err, "target_log_err")
     xv, yv = _points(x, y, ctx)
@@ -218,11 +218,12 @@ def heat_flat(ctx: HeatContext, t: float, x, y, target_log_err: float = 1e-12) -
     if min(ax.min(), ay.min()) <= sp.DEFAULT_DEGENERATE_TOL:
         return _heat_tied(ctx, t, xv, yv, target_log_err)
 
-    def rung(bits: int) -> sp.EvalResult:
+    def rung(bits: int) -> sp.EvalResult:  # a binary64 T <= 0 raises
         if bits <= 53:
-            return _images_float(ctx, t, xv, yv)
-        _, log_T = sp._psi_log_mp(xv, yv, bits, 2 * mp.mpf(t))
-        return _images_result(ctx, t, xv, yv, log_T, sp.METHOD_ALT_EXT)
+            log_T = sp._alt_sum_log_T_float(xv, yv, 1.0 / (2.0 * t))
+            return _images_result(ctx, t, xv, yv, log_T, sp.METHOD_ALT)
+        _, log_T, err = sp._det_log_T(xv, yv, bits, 2.0 * t)  # plus its rounding to binary64
+        return _images_result(ctx, t, xv, yv, (log_T, err + sp._U * abs(log_T)), sp.METHOD_ALT_EXT)
 
     # psi's cancellation estimate at (X, Y/2t); inf once 2t / (ax ay) overflows
     bits = sum(math.log2(1.0 + 2.0 * t / p) for p in (ax * ay).tolist())
@@ -330,24 +331,18 @@ def images_oracle(ctx: HeatContext, t: float, x, y) -> sp.EvalResult:
     p_t(X,Y) = C' t^{-d/2} sum_w eps(w) e^{-|X - wY|^2/4t} / (pi(X) pi(Y)),
     C' = pi(rho) / (2^{gamma+d/2} c).  As |X - wY|^2 = |X - Y|^2 + 2 <X, Y - wY>,
     the image sum is e^{-|X-Y|^2/4t} times T = rs.weyl_alt_sum at scale 1/2t,
-    accurate far from the origin.  Ties, and a T that lost all significance,
-    raise DegenerateInput.
+    accurate far from the origin.  Ties, and a T that lost all significance
+    (T <= 0, or T within its own bound of 0), raise DegenerateInput.
     """
     rs.check_positive(t, "t")
     xv, yv = _points(x, y, ctx)
     if np.min(xv[:-1] - xv[1:]) <= 0.0 or np.min(yv[:-1] - yv[1:]) <= 0.0:
         raise DegenerateInput("images oracle needs strictly dominant x and y")
-    res = _images_float(ctx, t, xv, yv)
-    if math.isnan(res.log_value):
-        raise DegenerateInput("image sum lost all significance (arguments too close to a wall)")
-    return res
-
-
-def _images_float(ctx: HeatContext, t: float, xv: np.ndarray, yv: np.ndarray) -> sp.EvalResult:
-    """The binary64 rung; a T <= 0 gives a nan value with an infinite bound."""
-    T, err = rs.weyl_alt_sum(xv, yv, 1.0 / (2.0 * t))
-    log_T = sp._log_bound(T, err) if T > 0.0 else (math.nan, math.inf)
-    return _images_result(ctx, t, xv, yv, log_T, sp.METHOD_ALT)
+    with suppress(ToleranceUnachievable):  # T <= 0
+        log_T = sp._alt_sum_log_T_float(xv, yv, 1.0 / (2.0 * t))
+        if log_T[1] < math.inf:
+            return _images_result(ctx, t, xv, yv, log_T, sp.METHOD_ALT)
+    raise DegenerateInput("image sum lost all significance in binary64 (near a wall, or large t)")
 
 
 def _images_result(ctx: HeatContext, t: float, xv: np.ndarray, yv: np.ndarray,

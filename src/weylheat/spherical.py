@@ -25,11 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
+from mpmath.libmp import (fnone, fone, from_float, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_log,
+                          mpf_mul, mpf_neg, mpf_sub, mpf_sum, round_nearest, to_float)
 
 from . import rootsystem as rs
-from ._quad import gl_offsets, log_ratio_1mexp, log_sinh, logsumexp
+from ._quad import _two_prod, gl_offsets, log_ratio_1mexp, log_sinh, logsumexp
 from .errors import (
     DegenerateInput,
     QuadratureNonconvergence,
@@ -58,7 +59,7 @@ _U = _EPS / 2.0  # unit roundoff; numpy's and math's exp and log are taken as fa
 _MAX_PREC = 8192
 # From this many coordinates on psi_stable skips the m!-term float rungs.  On
 # a 2-core x86-64 VM the binary64 sum costs 0.4 ms at m = 7 and 19 ms at m = 8,
-# the mpmath determinant at the planned precision 0.5 and 0.8 ms.
+# the determinant (with its exact assembly) at the planned precision 0.6 and 0.8 ms.
 _DET_COORDS = 8
 _MC_RANK_CAP = 5
 _MC_BATCH = 100_000  # Haar samples per substream
@@ -91,103 +92,103 @@ class RegimeLabel:
 # alternating sum core
 # ---------------------------------------------------------------------------
 
-def _alt_sum_log_T_float(lv: np.ndarray, xv: np.ndarray):
-    """log of T = sum_w eps(w) exp(-<lam - w lam, X>), which lies in (0, |W|]
-    (the identity term is 1, every other deficit is nonnegative), with the
-    bound of rs.weyl_alt_sum carried through the log."""
-    T, err = rs.weyl_alt_sum(lv, xv)
+def _alt_sum_log_T_float(lv: np.ndarray, xv: np.ndarray, scale: float = 1.0):
+    """log of T = sum_w eps(w) exp(-scale <lam - w lam, X>) in (0, |W|] with
+    the bound err of rs.weyl_alt_sum carried through the log: -log(1 - err/T),
+    inf once err reaches T, plus 2u |log T|.  A T <= 0 raises (a miss to
+    psi_stable and heat_flat)."""
+    T, err = rs.weyl_alt_sum(lv, xv, scale)
     if T <= 0.0:
-        raise ToleranceUnachievable(
-            "alternating sum lost all significance at this precision; "
-            "use a higher-precision path"
-        )
-    return _log_bound(T, err)
-
-
-def _log_bound(T: float, err: float) -> tuple[float, float]:
-    """(log T, bound) for T > 0 known within err: -log(1 - err/T), or inf once
-    err reaches T, plus 2u |log T| for the log."""
-    log_T = math.log(T)
-    rel = err / T
+        raise ToleranceUnachievable("alternating sum lost all significance in binary64")
+    log_T, rel = math.log(T), err / T
     return log_T, (-math.log1p(-rel) if rel < 1.0 else math.inf) + 2.0 * _U * abs(log_T)
 
 
-def _psi_log_mp(lv: np.ndarray, xv: np.ndarray, prec: int, div=1.0):
-    """log psi and log T from the Harish-Chandra determinant in mpmath at prec
-    bits, each with its bound: ((log psi, bound), (log T, bound)).
+def _det_log_T(lv: np.ndarray, xv: np.ndarray, prec: int, div: float = 1.0):
+    """log T, T the alternating sum, from the Harish-Chandra determinant at
+    prec bits: (log T as a libmp tuple, in binary64, the tuple's bound).
 
     With m coordinates, lam' = lam - lam_m and x' = x - x_m,
-        psi = (prod_{k<m} k!) det K e^{<lam, X> - <lam', x'>} / (pi(lam) pi(X)),
-    K_ij = exp(lam'_i x'_j).  The last row and column of K are ones, so det K
-    is the determinant of its Schur complement E_ij = K_ij - 1 (i, j < m).
-    K and E are strictly totally positive for strictly decreasing lam and x:
-    Gaussian elimination without pivoting meets only positive pivots and is
-    componentwise backward stable (de Boor & Pinkus, Numer. Math. 1977), so
-    the computed determinant is exact for entries perturbed by a relative
-    m 2^-prec each, plus the rounding of the exponents.  Such a perturbation
-    moves T = det K e^{-<lam', x'>} by at most m times its relative size
-    times the sum of |terms| of T, which is at most m! (every term is at
-    most 1); hence the condition m!/T in the bound.  A pivot that is not
-    positive means the precision was too low and raises.
-
-    x is divided by div in mpmath after x - x_m is formed (heat passes 2t), and
-    the bound's scale likewise; that rounding is within the bound's factor m.
-    """
-    m = lv.size
-    with mp.workprec(int(prec)):
-        lam = [mp.mpf(a) for a in lv.tolist()]
-        x = [mp.mpf(b) for b in xv.tolist()]
-        lp = [a - lam[-1] for a in lam[:-1]]
-        xp = [b - x[-1] for b in x[:-1]]
-        if div != 1.0:
-            xp = [b / div for b in xp]
-            x = [b / div for b in x]
-        E = [[mp.exp(a * b) - 1 for b in xp] for a in lp]
-        det = mp.mpf(1)
-        for k in range(m - 1):
-            piv = E[k][k]
-            if piv <= 0:
-                raise ToleranceUnachievable(
-                    f"determinant pivot nonpositive at {prec} bits; escalate precision"
-                )
-            det *= piv
-            row = E[k]
-            for i in range(k + 1, m - 1):
-                f = E[i][k] / piv
-                E[i][k + 1:] = [e - f * r for e, r in zip(E[i][k + 1:], row[k + 1:])]
-        vander = mp.mpf(1)
-        for i in range(m):
-            for j in range(i + 1, m):
-                vander *= (lam[i] - lam[j]) * (x[i] - x[j])
-        pairing = mp.fsum(a * b for a, b in zip(lp, xp))  # <lam', x'>
-        shift = mp.fsum(a * b for a, b in zip(lam, x)) - pairing
-        out = float(mp.log(rs._superfactorial(m) * det / vander) + shift)
-        log_T = float(mp.log(det) - pairing)
-    dv = float(div)
+    T = det K e^{-<lam', x'>}, K_ij = exp(lam'_i x'_j), and det K is the
+    determinant of the Schur complement E_ij = K_ij - 1 (i, j < m) of its
+    last row and column of ones.  K and E are strictly totally positive for
+    strictly decreasing lam and x: elimination without pivoting meets only
+    positive pivots and is componentwise backward stable (de Boor & Pinkus,
+    Numer. Math. 1977), exact for entries perturbed by a relative m 2^-prec
+    each, plus the rounding of the exponents.  That moves T by at most m
+    times the relative size times the sum of |terms| of T, at most m!; hence
+    the condition m!/T.  A nonpositive pivot means too few bits and raises.
+    x' is divided by div (heat passes 2t) after x - x_m is formed, and the
+    bound's scale likewise, within its factor m.  The operations are those of
+    mpf objects at workprec(prec) (the test oracle mpf_det_log_T), on raw
+    mpmath.libmp tuples."""
+    m, prec, rnd = lv.size, int(prec), round_nearest
+    lam = [from_float(a) for a in lv.tolist()]
+    x = [from_float(b) for b in xv.tolist()]
+    lp = [mpf_sub(a, lam[-1], prec, rnd) for a in lam[:-1]]
+    xp = [mpf_sub(b, x[-1], prec, rnd) for b in x[:-1]]
+    if div != 1.0:
+        d = from_float(div)
+        xp = [mpf_div(b, d, prec, rnd) for b in xp]
+    E = [[mpf_add(mpf_exp(mpf_mul(a, b, prec, rnd), prec, rnd), fnone, prec, rnd) for b in xp]
+         for a in lp]
+    det = fone
+    for k in range(m - 1):
+        piv = E[k][k]
+        if piv[0] or not piv[1]:  # negative, or zero
+            raise ToleranceUnachievable(f"determinant pivot nonpositive at {prec} bits")
+        det = mpf_mul(det, piv, prec, rnd)
+        row, npiv = E[k][k + 1:], mpf_neg(piv)
+        for i in range(k + 1, m - 1):  # e - (E_ik / piv) r as e + (E_ik / -piv) r: same bits
+            f = mpf_div(E[i][k], npiv, prec, rnd)
+            E[i][k + 1:] = [mpf_add(e, mpf_mul(f, r, prec, rnd), prec, rnd)
+                            for e, r in zip(E[i][k + 1:], row)]
+    pairing = mpf_sum([mpf_mul(a, b, prec, rnd) for a, b in zip(lp, xp)], prec, rnd)  # <lam', x'>
+    lt = mpf_sub(mpf_log(det, prec, rnd), pairing, prec, rnd)
+    log_T = to_float(lt, rnd=rnd)
     base = float(np.dot(lv, xv))
     spread = base - float(rs._min_pairing(lv, xv))
-    scale = 4.0 * dv + abs(base) + spread + float((lv[0] - lv[-1]) * (xv[0] - xv[-1]))
-    log_err = (math.log(m * m * scale) - math.log(dv) + (2 - prec) * math.log(2.0)
+    scale = 4.0 * div + abs(base) + spread + float((lv[0] - lv[-1]) * (xv[0] - xv[-1]))
+    log_err = (math.log(m * m * scale) - math.log(div) + (2 - prec) * math.log(2.0)
                + math.lgamma(m + 1) - log_T)
-    err = math.exp(log_err) if log_err < 709.0 else math.inf
-    # plus the final float rounding of each
-    return (out, err + 0.75 * _EPS * (1.0 + abs(out))), (log_T, err + _U * abs(log_T))
+    return lt, log_T, math.exp(log_err) if log_err < 709.0 else math.inf
 
 
-def _psi_log_float(lv: np.ndarray, xv: np.ndarray, roots: np.ndarray) -> tuple[float, float]:
-    """log psi = log prod_{k<m} k! - sum log alpha(lam) - sum log alpha(X)
-    + sum lam_i x_i + log T, added in one math.fsum, and its bound: log T's,
-    2u c for the constant (a faithful log of an exact integer), u + 2u |log
-    alpha| per root value, u |lam_i x_i| per product, and u |log psi| for the
-    fsum, the final rounding every rung pays.  roots holds alpha(lam), then
-    alpha(X)."""
-    logT, err = _alt_sum_log_T_float(lv, xv)
+def _psi_log_det(lv: np.ndarray, xv: np.ndarray, prec: int) -> tuple[float, float]:
+    """log psi = log T + <lam, X> + c, c = log(prod_{k<m} k! / (pi(lam) pi(X))),
+    on the determinant rung, summed exactly and rounded to binary64 once
+    (0.75 eps (1 + |log psi|) in the bound).  Over a common power of two per
+    vector the coordinates are integers, so pi(lam) pi(X) and <lam, X> are
+    exact; c rounds pi, the quotient and the log at prec, 2^-prec (3 + 2|c|)."""
+    ints, shift = [], 0
+    for v in (lv, xv):
+        ratios = [a.as_integer_ratio() for a in v.tolist()]  # denominators are powers of two
+        d = max(q for _, q in ratios)
+        ints.append([p * (d // q) for p, q in ratios])
+        shift -= d.bit_length() - 1
+    pi = from_man_exp(math.prod([a - b for v in ints for i, a in enumerate(v) for b in v[i + 1:]]),
+                      0, prec, round_nearest)
+    top = from_man_exp(rs._superfactorial(lv.size), -shift * (lv.size * (lv.size - 1) // 2))
+    c = mpf_log(mpf_div(top, pi, prec, round_nearest), prec, round_nearest)
+    lt, _, err = _det_log_T(lv, xv, prec)
+    pairing = from_man_exp(sum(a * b for a, b in zip(*ints)), shift)
+    log_value = to_float(mpf_sum([lt, c, pairing]), rnd=round_nearest)
+    return log_value, err + 2.0 ** -prec * (3 + 2 * abs(to_float(c))) + 0.75 * _EPS * (1 + abs(log_value))
+
+
+def _psi_log(lv: np.ndarray, xv: np.ndarray, roots: np.ndarray, log_T) -> tuple[float, float]:
+    """log psi = log prod_{k<m} k! + log T + sum lam_i x_i - sum log alpha from
+    the binary64 rung's (log T, bound) in one math.fsum, each lam_i x_i split
+    exactly by _two_prod (past |coordinates| ~ 1e300 it raises); the bound adds
+    2u c for the constant, u + 2u |log alpha| per root value (roots holds
+    alpha(lam), then alpha(X)) and u |log psi| for the fsum."""
     const = math.log(rs._superfactorial(lv.size))
-    logs = np.log(roots)
-    prods = lv * xv
-    log_value = math.fsum([const, logT, *prods.tolist(), *(-logs).tolist()])
-    return log_value, err + _U * (2.0 * const + float(np.abs(prods).sum()) + logs.size
-                                  + 2.0 * float(np.abs(logs).sum()) + abs(log_value))
+    logs = np.log(roots).tolist()
+    prods = [v for a, b in zip(lv.tolist(), xv.tolist()) for v in _two_prod(a, b)]
+    if not math.isfinite(sum(prods)):
+        raise ToleranceUnachievable("a product lam_i x_i is past binary64's exact split")
+    log_value = math.fsum([const, log_T[0], *prods, *[-v for v in logs]])
+    return log_value, log_T[1] + _U * (2 * const + len(logs) + 2 * sum(map(abs, logs)) + abs(log_value))
 
 
 def cancellation_bits(lam, x) -> float:
@@ -210,13 +211,14 @@ def _cancellation_bits(prods: np.ndarray) -> float:
 def psi_alt_sum(lam, x, precision_bits: int = 53) -> EvalResult:
     """psi via the alternating sum at a requested precision.
 
-    precision_bits <= 53 runs the compensated binary64 sum over the Weyl
-    group; precision_bits > 53 runs the determinant det[e^{lam_i x_j}] in
-    mpmath at exactly that many mantissa bits.  Strictly dominant lam and x
-    are required (the prefactor divides by pi(lam) pi(x)); nearly coincident
-    coordinates should go through psi_stable, which reroutes them.  Both
-    rungs take the pair in one canonical order, so psi_alt_sum(x, lam) is
-    bit for bit psi_alt_sum(lam, x) (psi is symmetric).
+    precision_bits <= 53 sums the Weyl group in compensated binary64 (a
+    T <= 0 raises); precision_bits > 53 runs the determinant det[e^{lam_i x_j}]
+    at exactly that many mantissa bits, and assembles log psi exactly.
+    Strictly dominant lam and x are required (the prefactor divides by
+    pi(lam) pi(x)); nearly coincident coordinates should go through
+    psi_stable, which reroutes them.  Both rungs take the pair in one
+    canonical order, so psi_alt_sum(x, lam) is bit for bit
+    psi_alt_sum(lam, x) (psi is symmetric).
     """
     lv, xv = rs.as_pair(lam, x)
     rs.check_rank(lv.size - 1)
@@ -229,9 +231,9 @@ def psi_alt_sum(lam, x, precision_bits: int = 53) -> EvalResult:
     if xv.tolist() < lv.tolist():  # the canonical order of the pair
         lv, xv, al, ax = xv, lv, ax, al
     if precision_bits <= 53:
-        log_value, err = _psi_log_float(lv, xv, np.concatenate([al, ax]))
+        log_value, err = _psi_log(lv, xv, np.concatenate([al, ax]), _alt_sum_log_T_float(lv, xv))
         return EvalResult(log_value, METHOD_ALT, err)
-    (log_value, err), _ = _psi_log_mp(lv, xv, precision_bits)
+    log_value, err = _psi_log_det(lv, xv, precision_bits)
     return EvalResult(log_value, METHOD_ALT_EXT, err)
 
 
@@ -659,7 +661,7 @@ def _psi_confluent(lv: np.ndarray, xv: np.ndarray, target: float) -> EvalResult:
         )
 
     def rung(bits: int) -> EvalResult:
-        (log_value, err), _ = _psi_log_mp(ls, xs, bits)
+        log_value, err = _psi_log_det(ls, xs, bits)
         return EvalResult(log_value, METHOD_CONFLUENT, err + e_pert)
 
     return _ladder(rung, _plan_bits(_cancellation_bits(al * ax), m, target - e_pert)[1], target)
@@ -714,9 +716,9 @@ def psi_stable(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
     Dispatch, from the input and target alone (the same on every platform):
     at ranks 1-6, input whose estimated cancellation leaves binary64 enough
     bits takes the compensated binary64 sum; the rest, and any whose binary64
-    bound misses, take the mpmath determinant with 64 guard bits, as ranks 7
-    and 8 always do.  The determinant's precision doubles until its bound
-    meets the target.
+    bound misses or whose binary64 T comes out <= 0, take the determinant
+    with 64 guard bits, as ranks 7 and 8 always do.  The determinant's
+    precision doubles until its bound meets the target.
 
     Coincident coordinates (gaps at most DEFAULT_DEGENERATE_TOL) take one
     confluent route: a constant side is the closed form e^{c sum X};
@@ -744,12 +746,15 @@ def psi_stable(lam, x, target_rel_err: float = DEFAULT_TARGET) -> EvalResult:
 def _planned_ladder(rung, bits: float, m: int, target: float) -> EvalResult:
     """psi_stable's and heat_flat's sequence: rung(53), binary64, when the plan
     from the cancellation estimate allows it and it meets the target, else
-    the mpmath ladder from the planned precision."""
+    the determinant ladder from the planned precision; a binary64 T <= 0 (it
+    raises) is a miss."""
     first, prec = _plan_bits(bits, m, target)
     if first == 53:
-        res = rung(53)
-        if _meets(res, target):
-            return res
+        try:
+            if _meets(res := rung(53), target):
+                return res
+        except ToleranceUnachievable:
+            pass
     return _ladder(rung, prec, target)
 
 

@@ -211,6 +211,19 @@ def test_images_oracle_honest_far_from_origin(ctx1, ctx2, ctx3):
                 assert gap <= res.abs_log_error + mp.mpf(2) ** -300 * (1 + abs(ref)), (ctx.n, shift)
 
 
+def test_images_oracle_refuses_a_sum_within_its_bound_of_zero(ctx2):
+    # at large t the binary64 image sum cancels to a T inside its own bound:
+    # the oracle raises (t = 1e8 gave T <= 0, t = 1e9 an infinite bound),
+    # while heat_flat takes the determinant there
+    x, y = [10.0, 5.0, 0.0], [9.5, 5.2, 0.1]
+    for t in (1e8, 1e9):
+        with pytest.raises(DegenerateInput):
+            ht.images_oracle(ctx2, t, x, y)
+    res = ht.heat_flat(ctx2, 1e9, x, y)
+    assert res.method == sp.METHOD_ALT_EXT
+    assert abs(res.log_value + 99.8238) < 1e-4 and res.abs_log_error < 1e-12
+
+
 CONTRACT_TIMES = (1e-300, 1e-100, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12)
 
 

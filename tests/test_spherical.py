@@ -496,6 +496,153 @@ def test_determinant_rung_within_bound_of_permutation_sum():
                 assert abs(mp.mpf(res.log_value) - ref) <= res.abs_log_error, (lam, x, p)
 
 
+def mpf_det_log_T(lv, xv, prec, div=1.0):
+    """Oracle: the determinant rung on mpmath's mpf objects at workprec(prec),
+    (log T in binary64, bound) with the same elimination and bound as
+    sp._det_log_T, which runs the same operations on raw libmp tuples."""
+    m = lv.size
+    with mp.workprec(prec):
+        lam = [mp.mpf(a) for a in lv.tolist()]
+        x = [mp.mpf(b) for b in xv.tolist()]
+        lp = [a - lam[-1] for a in lam[:-1]]
+        xp = [b - x[-1] for b in x[:-1]]
+        if div != 1.0:
+            xp = [b / div for b in xp]
+        E = [[mp.exp(a * b) - 1 for b in xp] for a in lp]
+        det = mp.mpf(1)
+        for k in range(m - 1):
+            piv = E[k][k]
+            if piv <= 0:
+                raise sp.ToleranceUnachievable(f"determinant pivot nonpositive at {prec} bits")
+            det *= piv
+            row = E[k]
+            for i in range(k + 1, m - 1):
+                f = E[i][k] / piv
+                E[i][k + 1:] = [e - f * r for e, r in zip(E[i][k + 1:], row[k + 1:])]
+        pairing = mp.fsum(a * b for a, b in zip(lp, xp))
+        log_T = float(mp.log(det) - pairing)
+    dv = float(div)
+    base = float(np.dot(lv, xv))
+    spread = base - rs.min_pairing_value(lv, xv)
+    scale = 4.0 * dv + abs(base) + spread + float((lv[0] - lv[-1]) * (xv[0] - xv[-1]))
+    log_err = (math.log(m * m * scale) - math.log(dv) + (2 - prec) * math.log(2.0)
+               + math.lgamma(m + 1) - log_T)
+    return log_T, math.exp(log_err) if log_err < 709.0 else math.inf
+
+
+def _same_outcome(rung, oracle):
+    """Both calls return the same (log T, bound) (after the rung's libmp
+    tuple), or both raise ToleranceUnachievable; True when they raised."""
+    try:
+        want = oracle()
+    except sp.ToleranceUnachievable:
+        with pytest.raises(sp.ToleranceUnachievable):
+            rung()
+        return True
+    assert rung()[1:] == want
+    return False
+
+
+def test_determinant_rung_is_bit_identical_to_mpf_elimination():
+    # psi's pairs at ranks 1-7 in every gap class, at the planned precision,
+    # at 54 bits (where the pivots of cancelling pairs come out nonpositive)
+    # and at 512 bits; heat's pairs (X, Y) with div = 2t, t from 1e-10 to 1e4
+    raised = 0
+    for lam, x, target in _seeded_cases(27, range(1, 8), 3):
+        for p in (54, sp._plan(lam, x, target)[1], 512):
+            raised += _same_outcome(lambda: sp._det_log_T(lam, x, p),
+                                    lambda: mpf_det_log_T(lam, x, p))
+    assert raised >= 10
+    rng = np.random.default_rng(28)
+    for n in range(1, 8):
+        for t in 10 ** np.linspace(-10, 4, 8):
+            x = _from_gaps(10 ** rng.uniform(-1, 0.5, n), rng.normal())
+            y = _from_gaps(10 ** rng.uniform(-1, 0.5, n), 3 * rng.normal())
+            bits = sum(math.log2(1.0 + 2.0 * t / p) for p in rs.root_values(x) * rs.root_values(y))
+            prec = sp._plan_bits(bits, n + 1, 1e-12)[1]
+            if prec > sp._MAX_PREC:
+                continue
+            for p in (prec, 512):
+                _same_outcome(lambda: sp._det_log_T(x, y, p, 2.0 * t),
+                              lambda: mpf_det_log_T(x, y, p, 2 * mp.mpf(t)))
+
+
+def test_512_bit_reference_stays_sharp_far_from_the_origin():
+    # lam shifted by 1e3 and 1e6 against x of zero trace: log psi stays
+    # moderate while each lam_i x_i is large, and the exact products keep the
+    # reference's bound at a few ulps (rounded products would cost 1e-10)
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3):
+        for shift in (1e3, 1e6):
+            for _ in range(3):
+                lam = _from_gaps(10 ** rng.uniform(-1, 0.5, n), shift)
+                x = _from_gaps(10 ** rng.uniform(-1, 0.5, n), 0.0)
+                x = x - x.mean()
+                res = sp.psi_alt_sum(lam, x, 512)
+                assert res.abs_log_error <= 1e-14, (lam, x, res)
+                ref = perm_sum_log_psi(lam, x, 768)
+                with mp.workprec(768):
+                    assert abs(mp.mpf(res.log_value) - ref) <= res.abs_log_error, (lam, x, res)
+
+
+def test_psi_stable_escalates_when_the_binary64_sum_is_nonpositive():
+    # planned at 53 bits, the binary64 T comes out <= 0 (psi_alt_sum(.., 53)
+    # raises); psi_stable counts that as a miss and takes the determinant
+    lam = np.array([2.2018781267634444, 2.0354390247855085, 1.7269906113360105, 1.4344085660895627,
+                    1.0872362698506115, 0.6926556571126745, 0.36181600752366244])
+    x = np.array([2.160816910234447, 1.9619004306905856, 1.677797815145591, 1.319171272629546,
+                  1.04217483927854, 0.6375741093144756, 0.3774241056966258])
+    cases = [(lam, x, 0.0106), (lam, x, 1e-2), (lam, x, 1e-3)]
+    rng = np.random.default_rng(30)
+    while len(cases) < 60:
+        n = int(rng.integers(5, 7))
+        lam = _from_gaps(10 ** rng.uniform(-1, -0.3, n), rng.normal())
+        x = _from_gaps(10 ** rng.uniform(-1, -0.3, n), rng.normal())
+        target = 10 ** rng.uniform(-4, math.log10(0.5))
+        if sp._plan(lam, x, target)[0] == 53:
+            cases.append((lam, x, target))
+    nonpositive = 0
+    for lam, x, target in cases:
+        try:
+            sp.psi_alt_sum(lam, x, 53)
+        except sp.ToleranceUnachievable:
+            nonpositive += 1
+        res = sp.psi_stable(lam, x, target)
+        ref = sp.psi_alt_sum(lam, x, 512)
+        assert sp._meets(res, target), (lam, x, target, res)
+        assert abs(res.log_value - ref.log_value) <= res.abs_log_error + ref.abs_log_error
+    assert nonpositive >= 6
+
+
+def mp_det_log_psi(lv, xv, prec):
+    """Oracle: log psi = log(prod_{k<m} k! det[e^{lam_i x_j}] / (pi(lam) pi(X)))
+    with mpmath's own determinant (LU with partial pivoting) at prec bits."""
+    m = lv.size
+    with mp.workprec(prec):
+        lam = [mp.mpf(a) for a in lv.tolist()]
+        x = [mp.mpf(b) for b in xv.tolist()]
+        K = mp.matrix([[mp.exp(a * b) for b in x] for a in lam])
+        pi = mp.fprod((lam[i] - lam[j]) * (x[i] - x[j]) for i in range(m) for j in range(i + 1, m))
+        return mp.log(rs._superfactorial(m) * mp.det(K) / pi)
+
+
+def test_psi_stable_meets_tight_targets_at_ranks_6_to_8():
+    # the determinant rung adds log T, the log of the constant over pi(lam)
+    # pi(X) and <lam, X> at its own precision and rounds once, so targets of
+    # 1e-14 and 1e-15 stay within reach at ranks 6-8 (gaps from 0.01 to 3)
+    rng = np.random.default_rng(32)
+    for n in (6, 7, 8):
+        for _ in range(4):
+            lam = _from_gaps(10 ** rng.uniform(-2, 0.5, n), rng.normal())
+            x = _from_gaps(10 ** rng.uniform(-2, 0.5, n), rng.normal())
+            ref = mp_det_log_psi(lam, x, 1600)
+            for target in (1e-14, 1e-15):
+                res = sp.psi_stable(lam, x, target)
+                assert sp._meets(res, target), (lam, x, target, res)
+                with mp.workprec(1600):
+                    assert abs(mp.mpf(res.log_value) - ref) <= res.abs_log_error, (lam, x, res)
+
+
 def test_float_rung_and_dispatcher_within_bound_of_determinant():
     # 280 seeded pairs at ranks 1-7 (coordinates shifted by up to 1e3, heavy
     # cancellation, heat-type pairs (x, y/2t) with t from 1e-10 to 1e4), each
